@@ -199,15 +199,11 @@ pub struct Executor {
     /// `ExecConfig::trace_capacity > 0`; the other clone lives inside the
     /// transactional memory as its sink.
     trace: Option<Arc<Mutex<RingBufferSink>>>,
-    /// Pre-decoded flag bit identifying yield points under the effective
-    /// yield policy (`decode::YP_ORIG` or `decode::YP_EXT`): the per-step
-    /// yield test is one flags load and a mask instead of an instruction
-    /// fetch plus a kind classification.
+    /// Flag bit identifying yield points under the effective yield
+    /// policy (`YP_ORIG` or `YP_EXT`): the per-step yield test is one
+    /// flags load and a mask instead of an instruction fetch plus a kind
+    /// classification.
     yp_bit: u8,
-    /// Superinstruction-fusion bit for the effective yield policy, handed
-    /// to the VM only when fusion is trace-transparent (no other live
-    /// thread, no open transaction, no trace sink) — see `raw_step`.
-    fuse_bit: u8,
 }
 
 impl Executor {
@@ -261,9 +257,9 @@ impl Executor {
             vm.mem.set_fault_plan(plan);
         }
         let interrupts = InterruptTimer::new(cfg.interrupt_interval);
-        let (yp_bit, fuse_bit) = match cfg.effective_yield_policy() {
-            YieldPolicy::Original => (ruby_vm::decode::YP_ORIG, ruby_vm::decode::FUSE_ORIG),
-            YieldPolicy::Extended => (ruby_vm::decode::YP_EXT, ruby_vm::decode::FUSE_EXT),
+        let yp_bit = match cfg.effective_yield_policy() {
+            YieldPolicy::Original => ruby_vm::bytecode::YP_ORIG,
+            YieldPolicy::Extended => ruby_vm::bytecode::YP_EXT,
         };
         Ok(Executor {
             vm,
@@ -288,7 +284,6 @@ impl Executor {
             stalled_steps: 0,
             trace,
             yp_bit,
-            fuse_bit,
         })
     }
 
@@ -455,7 +450,7 @@ impl Executor {
     }
 
     /// Is the instruction `t` is about to execute a yield point under the
-    /// effective policy? One load from the decoded stream's flag lane.
+    /// effective policy? One load from the program's yield-flag lane.
     #[inline]
     fn at_yield_point(&self, t: ThreadId) -> bool {
         self.vm.insn_flags(t) & self.yp_bit != 0
@@ -470,27 +465,13 @@ impl Executor {
         }
     }
 
-    /// Execute one VM step and charge its cycles to `t`. Returns the VM
-    /// outcome and the charged work cycles. A step retires one bytecode —
-    /// or two when superinstruction fusion is permitted, which it is only
-    /// when the interleaving cannot matter (no other live thread), no
-    /// transaction's escrow could straddle the pair, and no trace sink
-    /// observes per-access ordering. The charge is per retired bytecode
-    /// (`dispatch × step_insns` plus the accumulated memory/native costs),
-    /// so a fused pair lands on the simulated clock exactly where the two
-    /// separate steps would have.
+    /// Execute one VM step (one bytecode) and charge its cycles to `t`:
+    /// one dispatch plus the accumulated memory/native costs. Returns the
+    /// VM outcome and the charged work cycles.
     fn raw_step(&mut self, t: ThreadId) -> (Result<StepOk, VmAbort>, Cycles) {
-        self.vm.fuse_allowed = if self.trace.is_none()
-            && self.tle[t].tx.is_none()
-            && self.sched.other_live_threads(t) == 0
-        {
-            self.fuse_bit
-        } else {
-            0
-        };
         self.vm.reset_step_counters();
         let r = self.vm.step(t);
-        let cost = self.profile.cost.dispatch * Cycles::from(self.vm.step_insns)
+        let cost = self.profile.cost.dispatch
             + Cycles::from(self.vm.step_mem_refs) * self.profile.cost.mem_ref
             + self.vm.step_native_cost;
         self.sched.advance(t, cost);
@@ -708,7 +689,7 @@ impl Executor {
         self.drain_marks(t);
         match r {
             Ok(ok) => {
-                self.committed_insns += u64::from(self.vm.step_insns);
+                self.committed_insns += 1;
                 self.vm.publish_method_bumps();
                 let was_block = matches!(ok, StepOk::Block(_));
                 let finished = matches!(ok, StepOk::Finished);
@@ -744,7 +725,7 @@ impl Executor {
         }
         match r {
             Ok(ok) => {
-                self.committed_insns += u64::from(self.vm.step_insns);
+                self.committed_insns += 1;
                 self.vm.publish_method_bumps();
                 self.handle_outcome(t, ok)
             }
@@ -829,10 +810,10 @@ impl Executor {
         let (r, cost) = self.raw_step(t);
         if let Some(tx) = self.tle[t].tx.as_mut() {
             tx.work += cost;
-            tx.insns += u64::from(self.vm.step_insns);
+            tx.insns += 1;
         } else {
             self.breakdown.gil_held += cost;
-            self.committed_insns += u64::from(self.vm.step_insns);
+            self.committed_insns += 1;
             // A method defined under the GIL is externally visible now:
             // its version bump publishes with it.
             self.vm.publish_method_bumps();

@@ -17,7 +17,7 @@ pub struct IseqId(pub u32);
 pub type IcSite = u32;
 
 /// One bytecode instruction.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Insn {
     Nop,
     // --- push/pop -------------------------------------------------------
@@ -239,6 +239,25 @@ impl InsnKind {
                     | InsnKind::OptAref
             )
     }
+}
+
+/// Yield-flag bit: original-policy yield point (backward branch / leave).
+pub const YP_ORIG: u8 = 1 << 0;
+/// Yield-flag bit: extended-policy yield point (§4.2 fine-grained set).
+pub const YP_EXT: u8 = 1 << 1;
+
+/// Both policies' yield-point classification of `kind` as flag bits — the
+/// per-global-pc byte [`crate::program::Program::finalize`] precomputes so
+/// the executor's yield test is a single load and mask.
+pub fn yield_flags_of_kind(kind: InsnKind) -> u8 {
+    let mut f = 0;
+    if kind.is_original_yield_point() {
+        f |= YP_ORIG;
+    }
+    if kind.is_extended_yield_point() {
+        f |= YP_EXT;
+    }
+    f
 }
 
 /// A compiled instruction sequence (method, block, class body or

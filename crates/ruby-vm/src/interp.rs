@@ -276,9 +276,7 @@ impl Vm {
 
     // ---- the dispatcher ------------------------------------------------------
 
-    /// Execute exactly one bytecode for thread `t` (two when a fused
-    /// superinstruction pair runs — see [`crate::vm::Vm::fuse_allowed`];
-    /// `step_insns` reports which).
+    /// Execute exactly one bytecode for thread `t`.
     pub fn step(&mut self, t: ThreadId) -> Result<StepOk, VmAbort> {
         if let Some(reason) = self.mem.poll_doomed(t) {
             return Err(VmAbort::Tx(reason));
@@ -286,309 +284,11 @@ impl Vm {
         if self.threads[t].finished {
             return Ok(StepOk::Finished);
         }
-        if self.slow_dispatch {
-            return self.step_slow(t);
-        }
-        let gpc = {
-            let c = &self.threads[t];
-            c.base as usize + c.pc
-        };
-        let d = self.program.decoded_at(gpc);
-        let r = self.exec_decoded(t, &d)?;
-        // A pair marked fusable at decode time executes its second half in
-        // the same step iff the executor allows fusion here *and* the
-        // first half actually fell through to `gpc + 1` (fast path taken,
-        // no frame pushed). `gpc + 1` is interior to the current iseq, so
-        // it can never collide with a freshly pushed frame's pc 0.
-        if d.flags & self.fuse_allowed != 0 && matches!(r, StepOk::Normal) {
-            let c = &self.threads[t];
-            if c.base as usize + c.pc == gpc + 1 {
-                let d2 = self.program.decoded_at(gpc + 1);
-                // Popped operands of the first half are dead; the fused
-                // step keeps only the second half's in-flight values.
-                self.temp_roots.clear();
-                let r2 = self.exec_decoded(t, &d2)?;
-                self.step_insns = 2;
-                return Ok(r2);
-            }
-        }
-        Ok(r)
-    }
-
-    /// Execute one pre-decoded instruction.
-    fn exec_decoded(
-        &mut self,
-        t: ThreadId,
-        d: &crate::decode::DecodedInsn,
-    ) -> Result<StepOk, VmAbort> {
-        use crate::decode::Op;
-        match d.op {
-            Op::Nop => {
-                self.advance(t);
-            }
-            Op::PutNil => {
-                self.push(t, Word::Nil)?;
-                self.advance(t);
-            }
-            Op::PutTrue => {
-                self.push(t, Word::True)?;
-                self.advance(t);
-            }
-            Op::PutFalse => {
-                self.push(t, Word::False)?;
-                self.advance(t);
-            }
-            Op::PutSelf => {
-                let s = self.frame_self(t)?;
-                self.push(t, s)?;
-                self.advance(t);
-            }
-            Op::PutInt => {
-                self.push(t, Word::Int(d.a as i64))?;
-                self.advance(t);
-            }
-            Op::PutPooled => {
-                let w = self.pooled_objs[d.a as usize].clone();
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Op::PutString => {
-                let s = self.program.strings[d.a as usize].clone();
-                let w = self.make_string(t, &s)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Op::PutSym => {
-                self.push(t, Word::Sym(SymId(d.a_lo())))?;
-                self.advance(t);
-            }
-            Op::Pop => {
-                self.pop(t)?;
-                self.advance(t);
-            }
-            Op::Dup => {
-                let w = self.peek_n(t, 0)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Op::DupN => {
-                let n = d.b as usize;
-                for _ in 0..n {
-                    let w = self.peek_n(t, n - 1)?;
-                    self.push(t, w)?;
-                }
-                self.advance(t);
-            }
-            Op::GetLocal0 => {
-                let fp = self.threads[t].fp;
-                let w = self.rd(t, fp + d.a as usize)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Op::SetLocal0 => {
-                let v = self.pop(t)?;
-                let fp = self.threads[t].fp;
-                self.wr(t, fp + d.a as usize, v)?;
-                self.advance(t);
-            }
-            Op::GetLocalUp => {
-                let f = self.ep_at(t, d.b as u8)?;
-                let w = self.rd(t, f + FRAME_WORDS + d.a as usize)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Op::SetLocalUp => {
-                let v = self.pop(t)?;
-                let f = self.ep_at(t, d.b as u8)?;
-                self.wr(t, f + FRAME_WORDS + d.a as usize, v)?;
-                self.advance(t);
-            }
-            Op::GetIvar => {
-                let w = self.ivar_get_cached(t, SymId(d.a_lo()), d.c)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Op::SetIvar => {
-                let v = self.pop(t)?;
-                self.ivar_set_cached(t, SymId(d.a_lo()), d.c, v)?;
-                self.advance(t);
-            }
-            Op::GetCvar => {
-                let owner = self.cvar_owner(t)?;
-                let w = self.cvar_get(t, owner, SymId(d.a_lo()))?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Op::SetCvar => {
-                let v = self.pop(t)?;
-                let owner = self.cvar_owner(t)?;
-                self.cvar_set(t, owner, SymId(d.a_lo()), v)?;
-                self.advance(t);
-            }
-            Op::GetGlobal => {
-                let addr = self.gvar_addr(SymId(d.a_lo()));
-                let w = match self.rd(t, addr)? {
-                    Word::Uninit => Word::Nil,
-                    w => w,
-                };
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Op::SetGlobal => {
-                let v = self.pop(t)?;
-                let addr = self.gvar_addr(SymId(d.a_lo()));
-                self.wr(t, addr, v)?;
-                self.advance(t);
-            }
-            Op::GetConst => {
-                let name = SymId(d.a_lo());
-                let addr = self.const_lookup(name).ok_or_else(|| {
-                    VmAbort::fatal(format!(
-                        "uninitialized constant {}",
-                        self.program.symbols.name(name)
-                    ))
-                })?;
-                let w = self.rd(t, addr)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Op::SetConst => {
-                let v = self.pop(t)?;
-                let addr = self.const_define_addr(SymId(d.a_lo()));
-                self.wr(t, addr, v)?;
-                self.advance(t);
-            }
-            Op::NewArray => {
-                let n = d.b as usize;
-                let mut elems = vec![Word::Nil; n];
-                for i in (0..n).rev() {
-                    elems[i] = self.pop(t)?;
-                }
-                let w = self.make_array(t, &elems)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Op::NewHash => {
-                let n = d.b as usize;
-                let mut pairs = vec![(Word::Nil, Word::Nil); n];
-                for i in (0..n).rev() {
-                    let v = self.pop(t)?;
-                    let k = self.pop(t)?;
-                    pairs[i] = (k, v);
-                }
-                let w = self.make_hash(t, &pairs)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Op::NewRange => {
-                let hi = self.pop(t)?;
-                let lo = self.pop(t)?;
-                let w = self.make_range(t, lo, hi, d.b != 0)?;
-                self.push(t, w)?;
-                self.advance(t);
-            }
-            Op::Send => {
-                let block = match d.a_hi() {
-                    0 => None,
-                    b => Some(IseqId(b - 1)),
-                };
-                return self.do_send(t, SymId(d.a_lo()), d.b as usize, block, d.c);
-            }
-            Op::InvokeBlock => {
-                return self.do_invoke_block(t, d.b as usize);
-            }
-            Op::OptPlus => return self.op_arith(t, ArithOp::Add, d.a_lo(), d.c),
-            Op::OptMinus => return self.op_arith(t, ArithOp::Sub, d.a_lo(), d.c),
-            Op::OptMult => return self.op_arith(t, ArithOp::Mul, d.a_lo(), d.c),
-            Op::OptDiv => return self.op_arith(t, ArithOp::Div, d.a_lo(), d.c),
-            Op::OptMod => return self.op_arith(t, ArithOp::Mod, d.a_lo(), d.c),
-            Op::OptEq => return self.op_cmp(t, CmpOp::Eq, d.a_lo(), d.c),
-            Op::OptNeq => return self.op_cmp(t, CmpOp::Ne, d.a_lo(), d.c),
-            Op::OptLt => return self.op_cmp(t, CmpOp::Lt, d.a_lo(), d.c),
-            Op::OptLe => return self.op_cmp(t, CmpOp::Le, d.a_lo(), d.c),
-            Op::OptGt => return self.op_cmp(t, CmpOp::Gt, d.a_lo(), d.c),
-            Op::OptGe => return self.op_cmp(t, CmpOp::Ge, d.a_lo(), d.c),
-            Op::OptAref => return self.op_aref(t, d.a_lo(), d.c),
-            Op::OptAset => return self.op_aset(t, d.a_lo(), d.c),
-            Op::OptShl => return self.op_shl(t, d.a_lo(), d.c),
-            Op::OptNot => {
-                let w = self.pop(t)?;
-                self.push(t, if w.truthy() { Word::False } else { Word::True })?;
-                self.advance(t);
-            }
-            Op::OptNeg => {
-                let w = self.pop(t)?;
-                match w {
-                    Word::Int(i) => self.push(t, Word::Int(i.wrapping_neg()))?,
-                    ref o @ Word::Obj(_) => {
-                        let f = self
-                            .as_number(t, o)?
-                            .ok_or_else(|| VmAbort::fatal("cannot negate non-numeric"))?;
-                        let w = self.make_float(t, -f)?;
-                        self.push(t, w)?;
-                    }
-                    other => return Err(VmAbort::fatal(format!("cannot negate {other:?}"))),
-                }
-                self.advance(t);
-            }
-            Op::RareOp => return self.op_rare(t, crate::decode::rare_from_index(d.b)),
-            Op::Jump => {
-                self.threads[t].pc = d.a as usize;
-            }
-            Op::BranchIf => {
-                let c = self.pop(t)?;
-                if c.truthy() {
-                    self.threads[t].pc = d.a as usize;
-                } else {
-                    self.advance(t);
-                }
-            }
-            Op::BranchUnless => {
-                let c = self.pop(t)?;
-                if !c.truthy() {
-                    self.threads[t].pc = d.a as usize;
-                } else {
-                    self.advance(t);
-                }
-            }
-            Op::Leave => return self.do_leave(t),
-            Op::DefineMethod => {
-                let self_w = self.frame_self(t)?;
-                let cls = match self_w {
-                    Word::Obj(s) if self.kind_of(t, s)? == ObjKind::Class => s,
-                    _ => self.classes.object,
-                };
-                self.define_method(
-                    t,
-                    cls,
-                    SymId(d.a_lo()),
-                    MethodEntry::Iseq(IseqId(d.a_hi())),
-                    d.b != 0,
-                )?;
-                self.advance(t);
-            }
-            Op::DefineClass => {
-                let superclass = match d.c {
-                    0 => None,
-                    s => Some(SymId(s - 1)),
-                };
-                return self.do_define_class(t, SymId(d.a_lo()), superclass, IseqId(d.a_hi()));
-            }
-        }
-        Ok(StepOk::Normal)
-    }
-
-    /// The un-decoded reference interpreter: fetches the original [`Insn`]
-    /// and dispatches on it, exactly as before pre-decoding existed. Kept
-    /// behind `slow_dispatch` so CI can diff the two paths
-    /// (`HTMGIL_FORCE_SLOW_DISPATCH=1`).
-    fn step_slow(&mut self, t: ThreadId) -> Result<StepOk, VmAbort> {
-        use crate::decode::NO_SYM;
         let (iseq, pc) = {
             let c = &self.threads[t];
             (c.iseq, c.pc)
         };
-        let insn = self.program.insn(iseq, pc).clone();
+        let insn = *self.program.insn(iseq, pc);
         match insn {
             Insn::Nop => {
                 self.advance(t);
@@ -640,9 +340,8 @@ impl Vm {
             }
             Insn::DupN(n) => {
                 let n = n as usize;
-                for i in 0..n {
+                for _ in 0..n {
                     let w = self.peek_n(t, n - 1)?;
-                    let _ = i;
                     self.push(t, w)?;
                 }
                 self.advance(t);
@@ -748,20 +447,20 @@ impl Vm {
             Insn::InvokeBlock { argc } => {
                 return self.do_invoke_block(t, argc as usize);
             }
-            Insn::OptPlus { ic } => return self.op_arith(t, ArithOp::Add, NO_SYM, ic),
-            Insn::OptMinus { ic } => return self.op_arith(t, ArithOp::Sub, NO_SYM, ic),
-            Insn::OptMult { ic } => return self.op_arith(t, ArithOp::Mul, NO_SYM, ic),
-            Insn::OptDiv { ic } => return self.op_arith(t, ArithOp::Div, NO_SYM, ic),
-            Insn::OptMod { ic } => return self.op_arith(t, ArithOp::Mod, NO_SYM, ic),
-            Insn::OptEq { ic } => return self.op_cmp(t, CmpOp::Eq, NO_SYM, ic),
-            Insn::OptNeq { ic } => return self.op_cmp(t, CmpOp::Ne, NO_SYM, ic),
-            Insn::OptLt { ic } => return self.op_cmp(t, CmpOp::Lt, NO_SYM, ic),
-            Insn::OptLe { ic } => return self.op_cmp(t, CmpOp::Le, NO_SYM, ic),
-            Insn::OptGt { ic } => return self.op_cmp(t, CmpOp::Gt, NO_SYM, ic),
-            Insn::OptGe { ic } => return self.op_cmp(t, CmpOp::Ge, NO_SYM, ic),
-            Insn::OptAref { ic } => return self.op_aref(t, NO_SYM, ic),
-            Insn::OptAset { ic } => return self.op_aset(t, NO_SYM, ic),
-            Insn::OptShl { ic } => return self.op_shl(t, NO_SYM, ic),
+            Insn::OptPlus { ic } => return self.op_arith(t, ArithOp::Add, ic),
+            Insn::OptMinus { ic } => return self.op_arith(t, ArithOp::Sub, ic),
+            Insn::OptMult { ic } => return self.op_arith(t, ArithOp::Mul, ic),
+            Insn::OptDiv { ic } => return self.op_arith(t, ArithOp::Div, ic),
+            Insn::OptMod { ic } => return self.op_arith(t, ArithOp::Mod, ic),
+            Insn::OptEq { ic } => return self.op_cmp(t, CmpOp::Eq, ic),
+            Insn::OptNeq { ic } => return self.op_cmp(t, CmpOp::Ne, ic),
+            Insn::OptLt { ic } => return self.op_cmp(t, CmpOp::Lt, ic),
+            Insn::OptLe { ic } => return self.op_cmp(t, CmpOp::Le, ic),
+            Insn::OptGt { ic } => return self.op_cmp(t, CmpOp::Gt, ic),
+            Insn::OptGe { ic } => return self.op_cmp(t, CmpOp::Ge, ic),
+            Insn::OptAref { ic } => return self.op_aref(t, ic),
+            Insn::OptAset { ic } => return self.op_aset(t, ic),
+            Insn::OptShl { ic } => return self.op_shl(t, ic),
             Insn::OptNot => {
                 let w = self.pop(t)?;
                 self.push(t, if w.truthy() { Word::False } else { Word::True })?;
@@ -1199,19 +898,6 @@ impl Vm {
 
     // ---- specialized operators -------------------------------------------------
 
-    /// Resolve a generic-dispatch fallback selector: pre-resolved at
-    /// decode time when possible ([`crate::decode::NO_SYM`] otherwise),
-    /// interned lazily exactly like the undecoded interpreter — so SymId
-    /// numbering is identical on both dispatch paths.
-    #[inline]
-    fn op_fallback_sym(&mut self, sym: u32, name: &str) -> SymId {
-        if sym == crate::decode::NO_SYM {
-            self.program.intern(name)
-        } else {
-            SymId(sym)
-        }
-    }
-
     /// Pop the two operands of a binary operator, classifying each as an
     /// immediate integer in a single counted access apiece. Read order —
     /// rhs at `sp-1` first, then lhs at `sp-2` — matches the two `pop`
@@ -1228,7 +914,7 @@ impl Vm {
         Ok((lhs, rhs))
     }
 
-    fn op_arith(&mut self, t: ThreadId, op: ArithOp, sym: u32, ic: u32) -> Result<StepOk, VmAbort> {
+    fn op_arith(&mut self, t: ThreadId, op: ArithOp, ic: u32) -> Result<StepOk, VmAbort> {
         let (lhs, rhs) = self.pop_binop_operands(t)?;
         if let (&Ok(a), &Ok(b)) = (&lhs, &rhs) {
             let r = match op {
@@ -1310,11 +996,11 @@ impl Vm {
         // Generic dispatch to a user-defined operator.
         self.push(t, lhs)?;
         self.push(t, rhs)?;
-        let name = self.op_fallback_sym(sym, op.name());
+        let name = self.program.intern(op.name());
         self.do_send(t, name, 1, None, ic)
     }
 
-    fn op_cmp(&mut self, t: ThreadId, op: CmpOp, sym: u32, ic: u32) -> Result<StepOk, VmAbort> {
+    fn op_cmp(&mut self, t: ThreadId, op: CmpOp, ic: u32) -> Result<StepOk, VmAbort> {
         let (lhs, rhs) = self.pop_binop_operands(t)?;
         if let (&Ok(a), &Ok(b)) = (&lhs, &rhs) {
             let hit = op.apply_ord(a.cmp(&b));
@@ -1362,13 +1048,13 @@ impl Vm {
             None => {
                 self.push(t, lhs)?;
                 self.push(t, rhs)?;
-                let name = self.op_fallback_sym(sym, op.name());
+                let name = self.program.intern(op.name());
                 self.do_send(t, name, 1, None, ic)
             }
         }
     }
 
-    fn op_aref(&mut self, t: ThreadId, sym: u32, ic: u32) -> Result<StepOk, VmAbort> {
+    fn op_aref(&mut self, t: ThreadId, ic: u32) -> Result<StepOk, VmAbort> {
         let idx = self.pop(t)?;
         let recv = self.pop(t)?;
         if let Word::Obj(slot) = recv {
@@ -1420,11 +1106,11 @@ impl Vm {
         // Generic `[]`.
         self.push(t, recv)?;
         self.push(t, idx)?;
-        let name = self.op_fallback_sym(sym, "[]");
+        let name = self.program.intern("[]");
         self.do_send(t, name, 1, None, ic)
     }
 
-    fn op_aset(&mut self, t: ThreadId, sym: u32, ic: u32) -> Result<StepOk, VmAbort> {
+    fn op_aset(&mut self, t: ThreadId, ic: u32) -> Result<StepOk, VmAbort> {
         let value = self.pop(t)?;
         let idx = self.pop(t)?;
         let recv = self.pop(t)?;
@@ -1450,11 +1136,11 @@ impl Vm {
         self.push(t, recv)?;
         self.push(t, idx)?;
         self.push(t, value)?;
-        let name = self.op_fallback_sym(sym, "[]=");
+        let name = self.program.intern("[]=");
         self.do_send(t, name, 2, None, ic)
     }
 
-    fn op_shl(&mut self, t: ThreadId, sym: u32, ic: u32) -> Result<StepOk, VmAbort> {
+    fn op_shl(&mut self, t: ThreadId, ic: u32) -> Result<StepOk, VmAbort> {
         let rhs = self.pop(t)?;
         let lhs = self.pop(t)?;
         match &lhs {
@@ -1486,7 +1172,7 @@ impl Vm {
                 _ => {
                     self.push(t, lhs)?;
                     self.push(t, rhs)?;
-                    let name = self.op_fallback_sym(sym, "<<");
+                    let name = self.program.intern("<<");
                     self.do_send(t, name, 1, None, ic)
                 }
             },

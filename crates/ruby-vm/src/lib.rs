@@ -39,7 +39,6 @@
 pub mod builtins;
 pub mod bytecode;
 pub mod compile;
-pub mod decode;
 pub mod extensions;
 pub mod heap;
 pub mod interp;

@@ -471,7 +471,7 @@ impl Vm {
     /// do. Deliberately not a superclass-chain walk: a *shadowing*
     /// definition (subclass overrides an inherited method after call
     /// sites cached the inherited entry) does not bump, matching the
-    /// fill-once staleness the undecoded cache always had (DESIGN.md
+    /// fill-once staleness the unversioned cache always had (DESIGN.md
     /// §12).
     fn method_defined_here(&self, cls: Addr, holder_off: usize, name: SymId) -> bool {
         let buf = match self.mem.peek(cls + holder_off) {

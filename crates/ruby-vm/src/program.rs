@@ -2,8 +2,7 @@
 //! the global yield-point ("pc") numbering used by the TLE runtime's
 //! per-yield-point tables.
 
-use crate::bytecode::{ISeq, Insn, IseqId};
-use crate::decode::DecodedInsn;
+use crate::bytecode::{yield_flags_of_kind, ISeq, Insn, IseqId};
 use crate::symbols::{SymId, SymbolTable};
 
 /// A literal destined for the constant-object pool (shared, frozen) or the
@@ -33,14 +32,14 @@ pub struct Program {
     total_insns: u32,
     /// Per-iseq operand-stack bounds (computed by [`Program::finalize`]).
     max_stacks: Vec<usize>,
-    /// Flat pre-decoded stream, indexed by global pc (see
-    /// [`crate::decode`]; rebuilt by [`Program::finalize`]).
-    decoded: Vec<DecodedInsn>,
+    /// Yield-point flag byte (`YP_ORIG`/`YP_EXT` bits) of every
+    /// instruction, indexed by global pc (rebuilt by [`Program::finalize`]).
+    yield_flags: Vec<u8>,
 }
 
 impl Program {
     /// Recompute the global pc numbering after all iseqs are in place and
-    /// lower every instruction into the flat decoded stream.
+    /// classify every instruction's yield-point flags.
     pub fn finalize(&mut self) {
         self.iseq_base.clear();
         let mut base = 0u32;
@@ -50,31 +49,24 @@ impl Program {
         }
         self.total_insns = base;
         self.max_stacks = self.iseqs.iter().map(|i| i.max_stack()).collect();
-        self.decoded = crate::decode::decode(&self.iseqs, &self.symbols);
+        self.yield_flags = self
+            .iseqs
+            .iter()
+            .flat_map(|i| i.code.iter().map(|insn| yield_flags_of_kind(insn.kind())))
+            .collect();
     }
 
-    /// Global-pc base of an iseq in the decoded stream.
+    /// Global-pc base of an iseq.
     #[inline]
     pub fn base(&self, iseq: IseqId) -> u32 {
         self.iseq_base[iseq.0 as usize]
     }
 
-    /// Fetch a pre-decoded instruction by global pc.
-    #[inline]
-    pub fn decoded_at(&self, gpc: usize) -> DecodedInsn {
-        self.decoded[gpc]
-    }
-
-    /// Flag byte of the decoded instruction at a global pc (the
+    /// Yield-point flag byte of the instruction at a global pc (the
     /// executor's one-load yield-point query).
     #[inline]
-    pub fn decoded_flags(&self, gpc: usize) -> u8 {
-        self.decoded[gpc].flags
-    }
-
-    /// The whole decoded stream (tests, differential checks).
-    pub fn decoded(&self) -> &[DecodedInsn] {
-        &self.decoded
+    pub fn yield_flags(&self, gpc: usize) -> u8 {
+        self.yield_flags[gpc]
     }
 
     /// Operand-stack bound of an iseq (frame sizing).

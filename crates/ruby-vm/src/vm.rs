@@ -59,16 +59,11 @@ pub struct VmConfig {
     /// Seed of the deterministic connection-latency model behind
     /// `Kernel#conn_wait` (task-server scenario).
     pub conn_seed: u64,
-    /// Force the un-decoded reference interpreter (`Vm::step_slow`);
-    /// also settable via `HTMGIL_FORCE_SLOW_DISPATCH=1`. The decoded
-    /// fast path and this reference path must be observationally
-    /// identical — CI diffs figure reports across the two.
-    pub slow_dispatch: bool,
     /// Disable the line-lease batched access path: every `Vm::rd`/`Vm::wr`
     /// goes through the full per-word `TxMemory` accounting. Also settable
     /// via `HTMGIL_FORCE_WORD_ACCESS=1`. The leased and per-word paths
     /// must be observationally identical — CI diffs figure reports across
-    /// the two, exactly like the dispatch knob above.
+    /// the two.
     pub force_word_access: bool,
 }
 
@@ -93,7 +88,6 @@ impl Default for VmConfig {
             thread_local_ics: false,
             refcount_writes: false,
             conn_seed: 0xC0_11EC7,
-            slow_dispatch: false,
             force_word_access: false,
         }
     }
@@ -214,9 +208,9 @@ pub struct ThreadCtx {
     pub sp: Addr,
     pub pc: usize,
     pub iseq: IseqId,
-    /// Global-pc base of `iseq` in the pre-decoded stream (cached so the
-    /// fast dispatcher fetches `decoded[base + pc]` without an indirection
-    /// through the iseq table). Maintained by every frame transition.
+    /// Global-pc base of `iseq` (cached so the executor's yield test reads
+    /// the flag lane at `base + pc` without an indirection through the
+    /// iseq table). Maintained by every frame transition.
     pub base: u32,
     pub finished: bool,
     /// Heap address of the Ruby `Thread` object (0 for the main thread
@@ -349,18 +343,6 @@ pub struct Vm {
     /// inside a transaction — holds them in escrow until commit, so an
     /// aborted slice leaves no phantom latency events.
     pub pending_marks: Vec<(u8, i64)>,
-    /// True when the un-decoded reference interpreter is forced (config
-    /// flag or `HTMGIL_FORCE_SLOW_DISPATCH`).
-    pub slow_dispatch: bool,
-    /// Superinstruction gate: a decoded insn whose fusion bits intersect
-    /// this mask may execute its fused pair in one step. The executor only
-    /// raises it when fusion is invisible (single live thread, no active
-    /// transaction, no trace sink); 0 disables fusion entirely.
-    pub fuse_allowed: u8,
-    /// Bytecodes retired by the current step (2 when a fused pair ran,
-    /// else 1); the executor folds this into committed-insn accounting and
-    /// cycle charging so fusion stays invisible to the simulation.
-    pub step_insns: u32,
     /// Committed global method-table version. A versioned inline cache is
     /// valid only if the version half of its guard word matches
     /// [`Vm::effective_method_version`]; bumped when a method definition
@@ -444,9 +426,6 @@ impl Vm {
         let attribution = crate::layout::AttributionMap::from_layout(&layout);
         let config_slots = config.heap_slots;
         let conn_seed = config.conn_seed;
-        let slow_dispatch = config.slow_dispatch
-            || std::env::var_os("HTMGIL_FORCE_SLOW_DISPATCH")
-                .is_some_and(|v| v != "0" && !v.is_empty());
         let force_word_access = config.force_word_access
             || std::env::var_os("HTMGIL_FORCE_WORD_ACCESS")
                 .is_some_and(|v| v != "0" && !v.is_empty());
@@ -481,9 +460,6 @@ impl Vm {
             temp_roots: Vec::new(),
             conn: machine_sim::ConnModel::new(conn_seed),
             pending_marks: Vec::new(),
-            slow_dispatch,
-            fuse_allowed: 0,
-            step_insns: 1,
             method_version: 0,
             pending_method_bumps: 0,
             lease_cache,
@@ -607,9 +583,6 @@ impl Vm {
     /// Run thread `tid` to completion without transactions or scheduling —
     /// boot-time only (prelude execution).
     fn run_to_completion_single(&mut self, tid: ThreadId) -> Result<(), VmAbort> {
-        // Single-threaded, transaction-free: superinstructions are
-        // unobservable here, so always allow them.
-        self.fuse_allowed = crate::decode::FUSE_ANY;
         let mut result = Err(VmAbort::fatal("prelude did not terminate"));
         for _ in 0..50_000_000u64 {
             match self.step(tid) {
@@ -622,7 +595,6 @@ impl Vm {
             }
             break;
         }
-        self.fuse_allowed = 0;
         self.publish_method_bumps();
         result
     }
@@ -689,7 +661,7 @@ impl Vm {
 
     /// Read that classifies the word in place: `Ok(i)` for an immediate
     /// integer, `Err(word)` (cloned) otherwise — one counted access either
-    /// way. The arithmetic/compare superinstructions use it to reach the
+    /// way. The specialized arithmetic/compare operators use it to reach the
     /// `(Int, Int)` fast lane without cloning through the generic path.
     #[inline]
     pub fn rd_int(&mut self, t: ThreadId, addr: Addr) -> Result<Result<i64, Word>, VmAbort> {
@@ -776,16 +748,15 @@ impl Vm {
     pub fn reset_step_counters(&mut self) {
         self.step_mem_refs = 0;
         self.step_native_cost = 0;
-        self.step_insns = 1;
         self.temp_roots.clear();
     }
 
-    /// Flag byte of the next instruction thread `t` will execute — the
-    /// executor's one-load yield-point / fusion query.
+    /// Yield-flag byte of the next instruction thread `t` will execute —
+    /// the executor's one-load yield-point query.
     #[inline]
     pub fn insn_flags(&self, t: ThreadId) -> u8 {
         let c = &self.threads[t];
-        self.program.decoded_flags(c.base as usize + c.pc)
+        self.program.yield_flags(c.base as usize + c.pc)
     }
 
     /// Method-table version as seen by in-flight code: committed version

@@ -1,6 +1,6 @@
 //! Versioned-inline-cache invalidation under every runtime mode.
 //!
-//! The pre-decoded dispatch path guards each send site with a packed
+//! The interpreter guards each send site with a packed
 //! `(method_table_version, class_id)` word. These tests pin down the two
 //! events that must invalidate filled caches — method *replacement* (the
 //! global version bump) and object *shape mutation* (the ivar table of a
