@@ -13,7 +13,7 @@
 //!
 //! Exit status is 0 when the outcome matches expectation: no violations
 //! normally, at least one under `--expect-violation`. The stats document
-//! (`--report-json`, schema `htm-gil-explore-report/v1`) carries no
+//! (`--report-json`, schema `htm-gil-explore-report/v2`) carries no
 //! `jobs` field — it is byte-identical at any pool size. Repro artifacts
 //! for every violation are written next to the stats (or under
 //! `bench-results/explore/`).
@@ -31,7 +31,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: explore [--mode dfs|random] [--budget N] [--max-preempt K] [--horizon H]\n\
          \x20              [--walks N] [--depth D] [--seed S] [--jobs N|auto]\n\
-         \x20              [--target ID] [--bug-demo] [--lazy-demo] [--differential] [--stop-first]\n\
+         \x20              [--target ID] [--bug-demo] [--lazy-demo] [--stop-first]\n\
          \x20              [--expect-violation] [--replay HEX] [--report-json PATH]\n\
          \x20              [--repro-dir PATH] [--list]"
     );
@@ -103,7 +103,6 @@ fn parse_cli() -> Cli {
             "--repro-dir" => cli.repro_dir = Some(need(&mut args, "--repro-dir")),
             "--bug-demo" => cli.bug_demo = true,
             "--lazy-demo" => cli.lazy_demo = true,
-            "--differential" => cli.params.differential = true,
             "--stop-first" => cli.params.stop_first = true,
             "--expect-violation" => cli.expect_violation = true,
             "--list" => cli.list = true,

@@ -97,17 +97,6 @@ fn sim_bytecodes(r: &RunReport) -> u64 {
     r.committed_insns + r.wasted_insns
 }
 
-/// Fraction of interpreter word accesses served by the leased TxMemory
-/// fast path (0.0 when leases are disabled or never engage).
-fn lease_hit_rate(r: &RunReport) -> f64 {
-    let attempts = r.htm.lease_hits + r.htm.lease_misses;
-    if attempts == 0 {
-        0.0
-    } else {
-        r.htm.lease_hits as f64 / attempts as f64
-    }
-}
-
 fn run_measurements(q: bool, reps: usize) -> Vec<Measurement> {
     // Warm up allocator/page cache once so rep 1 is comparable to rep N.
     {
@@ -201,7 +190,6 @@ fn run_gate() -> i32 {
             .field("measured_bytecodes_per_sec", measured_bps)
             .field("measured_best_wall_ms", m.best_ms)
             .field("measured_median_wall_ms", m.wall_ms)
-            .field("lease_hit_rate", lease_hit_rate(&m.report))
             .field("pass", pass);
         if let Some(c) = committed_bps {
             entry = entry.field("committed_bytecodes_per_sec", c);
@@ -266,22 +254,19 @@ fn main() {
             .map(|&(_, ms)| ms)
             .filter(|&ms| ms > 0.0 && !q && jobs == 1);
         let speedup = baseline_ms.map(|b| b / m.wall_ms);
-        let hit_rate = lease_hit_rate(&m.report);
         println!(
-            "  {:<18} {:>9.1} ms  {:>12.0} bytecodes/s  {:>12.0} words/s  lease {:>5.1}%{}",
+            "  {:<18} {:>9.1} ms  {:>12.0} bytecodes/s  {:>12.0} words/s{}",
             m.name,
             m.wall_ms,
             bytecodes_per_sec,
             words_per_sec,
-            hit_rate * 100.0,
             speedup.map(|s| format!("  ({s:.2}x vs baseline)")).unwrap_or_default()
         );
         let mut entry = Json::obj()
             .field("wall_ms", m.wall_ms)
             .field("sim_bytecodes_per_sec", bytecodes_per_sec)
             .field("sim_words_per_sec", words_per_sec)
-            .field("sim_elapsed_cycles", m.report.elapsed_cycles)
-            .field("lease_hit_rate", hit_rate);
+            .field("sim_elapsed_cycles", m.report.elapsed_cycles);
         if let Some(b) = baseline_ms {
             entry = entry.field("baseline_wall_ms", b);
         }

@@ -39,7 +39,7 @@ use machine_sim::{MachineProfile, SchedPath};
 use crate::pool::{self, PointOutcome};
 
 /// Schema tag of the exploration stats document (`--report-json`).
-pub const REPORT_SCHEMA: &str = "htm-gil-explore-report/v1";
+pub const REPORT_SCHEMA: &str = "htm-gil-explore-report/v2";
 /// Schema tag of a pinned counterexample artifact.
 pub const REPRO_SCHEMA: &str = "htm-gil-explore-repro/v1";
 
@@ -60,10 +60,6 @@ pub struct SearchParams {
     pub stop_first: bool,
     /// Replay budget for minimizing each violation.
     pub shrink_budget: u64,
-    /// Re-run every clean path with `force_word_access` and diff the
-    /// run reports (modulo the lease counters) — the PR 8 differential
-    /// reinterpreted as a schedule-space invariant.
-    pub differential: bool,
 }
 
 impl Default for SearchParams {
@@ -74,7 +70,6 @@ impl Default for SearchParams {
             horizon: 96,
             stop_first: false,
             shrink_budget: 300,
-            differential: false,
         }
     }
 }
@@ -121,7 +116,6 @@ pub struct TargetStats {
     pub max_depth: u64,
     pub max_preemptions: u64,
     pub violations: u64,
-    pub differential_mismatches: u64,
     /// Wave-tail paths never replayed because the budget ran out.
     pub dropped_by_budget: u64,
     /// Length of the shortest minimized counterexample, if any.
@@ -138,7 +132,6 @@ impl TargetStats {
             max_depth: 0,
             max_preemptions: 0,
             violations: 0,
-            differential_mismatches: 0,
             dropped_by_budget: 0,
             min_repro_len: None,
         }
@@ -157,7 +150,6 @@ impl TargetStats {
             .field("max_depth", self.max_depth)
             .field("max_preemptions", self.max_preemptions)
             .field("violations", self.violations)
-            .field("differential_mismatches", self.differential_mismatches)
             .field("dropped_by_budget", self.dropped_by_budget)
             .field("min_repro_len", repro)
     }
@@ -414,49 +406,6 @@ pub fn lazy_sub_clean_targets(quick: bool) -> Vec<ExploreTarget> {
     vec![eager, guarded]
 }
 
-/// Strip the lease counters from a report JSON tree: the word-access
-/// differential compares everything else byte-for-byte (mirrors the
-/// lease-differential CI job).
-fn strip_lease_fields(j: &Json) -> Json {
-    match j {
-        Json::Obj(fields) => Json::Obj(
-            fields
-                .iter()
-                .filter(|(k, _)| k != "lease_hits" && k != "lease_misses")
-                .map(|(k, v)| (k.clone(), strip_lease_fields(v)))
-                .collect(),
-        ),
-        Json::Arr(items) => Json::Arr(items.iter().map(strip_lease_fields).collect()),
-        other => other.clone(),
-    }
-}
-
-/// Replay `path` under `force_word_access` and diff the run report
-/// (modulo lease counters) against the lease-layout replay. `None` when
-/// the reports agree.
-pub fn differential_mismatch(target: &ExploreTarget, path: &SchedPath) -> Option<String> {
-    let lease_run = run_path(target, path);
-    let mut word_target = target.clone();
-    word_target.force_word_access = true;
-    let word_run = run_path(&word_target, path);
-    match (&lease_run.report, &word_run.report) {
-        (Some(a), Some(b)) => {
-            let a = strip_lease_fields(&a.to_json()).to_compact();
-            let b = strip_lease_fields(&b.to_json()).to_compact();
-            (a != b).then(|| {
-                format!("lease/word-access reports diverge on this schedule\n  lease: {a}\n  word:  {b}")
-            })
-        }
-        (Some(_), None) => {
-            Some(format!("word-access replay failed: {}", word_run.error.unwrap_or_default()))
-        }
-        (None, Some(_)) => {
-            Some(format!("lease replay failed: {}", lease_run.error.unwrap_or_default()))
-        }
-        (None, None) => None, // both failed the same way — the oracle check reports it
-    }
-}
-
 /// Minimize a violating path and package the counterexample.
 fn minimize(
     target: &ExploreTarget,
@@ -509,15 +458,8 @@ fn run_wave(
         wave,
         |p| p.to_hex(),
         |_, path| {
-            let (run, mismatch) = check_path(target, expected, path);
-            let diff = if mismatch.is_none() && params.differential {
-                differential_mismatch(target, path)
-            } else {
-                None
-            };
-            let stop = params.stop_first && (mismatch.is_some() || diff.is_some());
-            let out = (run, mismatch, diff);
-            if stop {
+            let out = check_path(target, expected, path);
+            if params.stop_first && out.1.is_some() {
                 PointOutcome::Prune(out)
             } else {
                 PointOutcome::Continue(out)
@@ -528,21 +470,11 @@ fn run_wave(
     .unwrap_or_else(|e| panic!("explore '{}': {e}", target.id));
     let mut clean = Vec::new();
     for (path, slot) in wave.iter().zip(results) {
-        let Some((run, mismatch, diff)) = slot else { continue };
+        let Some((run, mismatch)) = slot else { continue };
         stats.executions += 1;
         stats.distinct_paths += 1;
         stats.max_depth = stats.max_depth.max(run.decisions as u64);
         stats.max_preemptions = stats.max_preemptions.max(run.preemptions);
-        if let Some(d) = diff {
-            stats.differential_mismatches += 1;
-            stats.violations += 1;
-            let mut v = minimize(target, expected, path, 0);
-            v.mismatch = d;
-            let len = v.minimized.len() as u64;
-            stats.min_repro_len = Some(stats.min_repro_len.map_or(len, |m| m.min(len)));
-            violations.push(v);
-            continue;
-        }
         if mismatch.is_some() {
             stats.violations += 1;
             let v = minimize(target, expected, path, params.shrink_budget);
@@ -677,14 +609,12 @@ pub fn stats_json(search: &str, params: &SearchParams, targets: &[TargetStats]) 
     let mut tot_exec = 0u64;
     let mut tot_paths = 0u64;
     let mut tot_viol = 0u64;
-    let mut tot_diff = 0u64;
     let mut max_depth = 0u64;
     let mut max_preempt = 0u64;
     for t in targets {
         tot_exec += t.executions;
         tot_paths += t.distinct_paths;
         tot_viol += t.violations;
-        tot_diff += t.differential_mismatches;
         max_depth = max_depth.max(t.max_depth);
         max_preempt = max_preempt.max(t.max_preemptions);
         rows.push(t.to_json());
@@ -696,7 +626,6 @@ pub fn stats_json(search: &str, params: &SearchParams, targets: &[TargetStats]) 
         .field("max_preempt", params.max_preempt)
         .field("horizon", params.horizon)
         .field("stop_first", params.stop_first)
-        .field("differential", params.differential)
         .field("targets", Json::Arr(rows))
         .field(
             "totals",
@@ -704,7 +633,6 @@ pub fn stats_json(search: &str, params: &SearchParams, targets: &[TargetStats]) 
                 .field("executions", tot_exec)
                 .field("distinct_paths", tot_paths)
                 .field("violations", tot_viol)
-                .field("differential_mismatches", tot_diff)
                 .field("max_depth", max_depth)
                 .field("max_preemptions", max_preempt),
         )

@@ -187,7 +187,7 @@ mod tests {
         let first = &runs[0];
         assert_eq!(first.get("workload").unwrap().as_str(), Some(w.name));
         let report = first.get("report").unwrap();
-        assert_eq!(report.get("schema").unwrap().as_str(), Some("htm-gil-run-report/v1"));
+        assert_eq!(report.get("schema").unwrap().as_str(), Some("htm-gil-run-report/v2"));
         assert_eq!(report.get("mode").unwrap().as_str(), Some("GIL"));
     }
 

@@ -173,12 +173,6 @@ pub struct ExecConfig {
     /// open transaction at a yield point or in the commit window). Off,
     /// those windows consume no path bytes.
     pub explore_interrupts: bool,
-    /// Test-only injected serializability bug: the transactional
-    /// memory's *read* path skips the requester-wins doom of a remote
-    /// writer, so reads observe speculative (possibly torn) state. Used
-    /// to prove the exploration driver actually finds real violations;
-    /// never enabled outside explore tests.
-    pub bug_dirty_read: bool,
     /// When HTM transactions subscribe to the GIL word (DESIGN.md §15).
     /// `Eager` (the default) is the paper's Fig. 1; `Lazy` is observably
     /// unsafe by design; `LazyGuarded` models the hardware commit guard.
@@ -201,7 +195,6 @@ impl ExecConfig {
             progress_bound_steps: 5_000_000,
             explore_path: None,
             explore_interrupts: false,
-            bug_dirty_read: false,
             subscription: crate::tle::SubscriptionPolicy::Eager,
         }
     }
@@ -251,7 +244,7 @@ mod tests {
         assert!(!cfg.watchdog.is_enabled(), "watchdog off by default");
         assert!(cfg.progress_bound_steps > 0, "progress invariant on by default");
         assert!(cfg.explore_path.is_none(), "no exploration controller by default");
-        assert!(!cfg.explore_interrupts && !cfg.bug_dirty_read);
+        assert!(!cfg.explore_interrupts);
         assert_eq!(
             cfg.subscription,
             crate::tle::SubscriptionPolicy::Eager,

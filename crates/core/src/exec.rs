@@ -230,9 +230,6 @@ impl Executor {
         if let Some(path) = cfg.explore_path.clone() {
             sched.set_explore(machine_sim::ExploreCtl::new(path, cfg.explore_interrupts));
         }
-        if cfg.bug_dirty_read {
-            vm.mem.set_bug_dirty_read(true);
-        }
         let t0 = sched.spawn(0);
         debug_assert_eq!(t0, 0);
         let total_pcs = vm.program.total_insns();
@@ -370,9 +367,6 @@ impl Executor {
                 }
             }
         }
-        // Leased accesses batch their stats deltas; fold them in so the
-        // report sees the same totals the per-word path would have.
-        self.vm.mem.flush_lease_stats();
         Ok(self.report())
     }
 
@@ -658,9 +652,6 @@ impl Executor {
             if self.sched.explore_active() && self.sched.explore_preempt(t).is_some() {
                 return Ok(());
             }
-            // Yield points are where stats become externally observable;
-            // settle any batched lease deltas before deciding to switch.
-            self.vm.mem.flush_lease_stats();
             let flag_addr = self.vm.layout.thread_struct(t) + ruby_vm::layout::ts::INTERRUPT;
             // GIL mode runs no transactions, so these plain accesses can
             // only fail if the memory invariants are broken — surface
@@ -777,9 +768,6 @@ impl Executor {
                     return self.on_tx_abort(t, reason);
                 }
             }
-            // Settle batched lease deltas at the yield point, mirroring the
-            // GIL path, so mid-run stats observations are path-independent.
-            self.vm.mem.flush_lease_stats();
             let counter_addr = self.vm.layout.thread_struct(t) + ruby_vm::layout::ts::YIELD_COUNTER;
             let c = match self.vm.rd_untimed(t, counter_addr) {
                 Ok(Word::Int(c)) => c,
@@ -1015,9 +1003,6 @@ impl Executor {
             self.sched.advance(t, self.profile.cost.mem_ref);
         }
         // Install the yield-point counter (Fig. 3's yield_point_counter).
-        // Leased install: seeds the write lease on the thread-struct line
-        // that the per-yield-point decrements then hit for the rest of the
-        // transaction.
         if let Err(reason) = self.vm.wr_untimed(t, counter_addr, Word::Int(i64::from(len))) {
             self.tle[t].resume_pc = Some(pc);
             self.abort_path(t, pc, reason)?;

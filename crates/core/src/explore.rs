@@ -18,6 +18,7 @@
 //! values — while the violation keeps reproducing, yielding the pinned
 //! counterexamples committed to `tests/schedule_regressions.rs`.
 
+use htm_sim::FaultPlan;
 use machine_sim::{MachineProfile, SchedPath};
 use ruby_vm::VmConfig;
 
@@ -44,15 +45,15 @@ pub struct ExploreTarget {
     /// Enable the interrupt-delivery decisions (yield-point and
     /// commit-window transaction kills).
     pub interrupts: bool,
-    /// Arm the test-only dirty-read bug (violation-demo targets only).
+    /// Arm the test-only dirty-read bug (violation-demo targets only) —
+    /// replays install it as a [`FaultPlan::dirty_read`] plan.
     pub bug_dirty_read: bool,
     /// Safety cap on simulated cycles per execution (0 = none). Explored
     /// schedules can livelock where the natural one does not; the cap
     /// turns that into a reported violation instead of a hung search.
     pub max_cycles: u64,
-    /// Force word-granular access tracking in the VM (disables the lease
-    /// fast path). Used by the `--differential` re-run, which replays the
-    /// same path under both layouts and diffs the reports.
+    /// No effect; kept so `perfbench/` builds; drop in the next benchmark
+    /// revision.
     pub force_word_access: bool,
 }
 
@@ -63,17 +64,15 @@ impl ExploreTarget {
         cfg.max_cycles = self.max_cycles;
         cfg.explore_path = Some(path.clone());
         cfg.explore_interrupts = self.interrupts;
-        cfg.bug_dirty_read = self.bug_dirty_read;
+        if self.bug_dirty_read {
+            cfg.fault_plan = Some(FaultPlan { dirty_read: true, ..FaultPlan::none() });
+        }
         cfg.subscription = self.subscription;
         cfg
     }
 
     fn vm_config(&self) -> VmConfig {
-        VmConfig {
-            max_threads: self.threads + 2,
-            force_word_access: self.force_word_access,
-            ..VmConfig::default()
-        }
+        VmConfig { max_threads: self.threads + 2, ..VmConfig::default() }
     }
 }
 

@@ -147,10 +147,7 @@ impl RunReport {
             .field("read_conflict_share_pct", self.htm.read_conflict_share_pct())
             .field("nontx_dooms", self.htm.nontx_dooms)
             .field("mem_reads", self.htm.reads)
-            .field("mem_writes", self.htm.writes)
-            .field("lease_hits", self.htm.lease_hits)
-            .field("lease_misses", self.htm.lease_misses)
-            .field("epoch_bumps", self.htm.epoch_bumps);
+            .field("mem_writes", self.htm.writes);
         // Conflict attribution, in address-map order (ConflictSite: Ord).
         let mut sites: Vec<(ConflictSite, u64)> =
             self.conflict_sites.iter().map(|(&s, &n)| (s, n)).collect();
@@ -174,7 +171,7 @@ impl RunReport {
             })
             .collect::<Vec<Json>>();
         let report = Json::obj()
-            .field("schema", "htm-gil-run-report/v1")
+            .field("schema", "htm-gil-run-report/v2")
             .field("mode", self.mode_label.as_str());
         let report = if self.subscription == crate::tle::SubscriptionPolicy::Eager {
             report
@@ -283,9 +280,6 @@ mod tests {
             commits: 90,
             conflicts_read: 8,
             conflicts_write: 2,
-            lease_hits: 4_000,
-            lease_misses: 250,
-            epoch_bumps: 310,
             ..HtmStats::default()
         };
         let r = RunReport {
@@ -357,10 +351,6 @@ mod tests {
         );
         assert_eq!(parsed.get("watchdog_escalations").unwrap().as_u64(), Some(2));
         assert_eq!(parsed.get("trace").unwrap().get("dropped").unwrap().as_u64(), Some(10));
-        let htm_json = parsed.get("htm").unwrap();
-        assert_eq!(htm_json.get("lease_hits").unwrap().as_u64(), Some(4_000));
-        assert_eq!(htm_json.get("lease_misses").unwrap().as_u64(), Some(250));
-        assert_eq!(htm_json.get("epoch_bumps").unwrap().as_u64(), Some(310));
         assert!(parsed.get("subscription").is_none(), "eager runs keep the pre-knob schema");
         let mut lazy = r.clone();
         lazy.subscription = crate::tle::SubscriptionPolicy::Lazy;

@@ -21,6 +21,10 @@
 //! * force a [`AbortReason::Restricted`] abort, as if the access turned
 //!   out to require a restricted operation.
 //!
+//! A plan can also arm the test-only **dirty-read bug**
+//! ([`FaultPlan::dirty_read`]) the schedule-space explorer uses to prove it
+//! finds real serializability violations.
+//!
 //! Determinism contract: exactly **one** PRNG draw per `decide()` call,
 //! and the two memory implementations call `decide()` at identical
 //! points, so their injection streams stay in lockstep.
@@ -51,22 +55,35 @@ pub struct FaultPlan {
     pub shrink_rate: f64,
     /// Probability the access is treated as a restricted operation.
     pub restricted_rate: f64,
+    /// Test-only serializability bug: reads skip the requester-wins doom
+    /// of a remote speculative writer, so they observe speculative
+    /// (possibly torn) state. Draws nothing, so it leaves the line memo
+    /// on; only `TxMemory` models it. Never enabled outside the
+    /// explorer's violation demos.
+    pub dirty_read: bool,
 }
 
 impl FaultPlan {
     /// Plan injecting nothing.
     pub fn none() -> FaultPlan {
-        FaultPlan { seed: 0, spurious_rate: 0.0, shrink_rate: 0.0, restricted_rate: 0.0 }
+        FaultPlan {
+            seed: 0,
+            spurious_rate: 0.0,
+            shrink_rate: 0.0,
+            restricted_rate: 0.0,
+            dirty_read: false,
+        }
     }
 
     /// Pure spurious-abort plan — the knob the chaos sweep turns.
     pub fn spurious(seed: u64, rate: f64) -> FaultPlan {
-        FaultPlan { seed, spurious_rate: rate, shrink_rate: 0.0, restricted_rate: 0.0 }
+        FaultPlan { seed, spurious_rate: rate, ..FaultPlan::none() }
     }
 
-    /// True when no fault can ever fire (lets the memories skip the hook).
-    pub fn is_noop(&self) -> bool {
-        self.spurious_rate <= 0.0 && self.shrink_rate <= 0.0 && self.restricted_rate <= 0.0
+    /// True when some fault rate is above zero, so every transactional
+    /// access must draw; otherwise the memories install no injector.
+    pub fn draws(&self) -> bool {
+        self.spurious_rate > 0.0 || self.shrink_rate > 0.0 || self.restricted_rate > 0.0
     }
 }
 
@@ -152,7 +169,7 @@ mod tests {
             assert_eq!(inj.decide(), None);
         }
         assert_eq!(inj.injected(), 0);
-        assert!(FaultPlan::none().is_noop());
+        assert!(!FaultPlan::none().draws());
     }
 
     #[test]
@@ -174,8 +191,13 @@ mod tests {
 
     #[test]
     fn same_seed_same_stream() {
-        let plan =
-            FaultPlan { seed: 7, spurious_rate: 0.2, shrink_rate: 0.1, restricted_rate: 0.05 };
+        let plan = FaultPlan {
+            seed: 7,
+            spurious_rate: 0.2,
+            shrink_rate: 0.1,
+            restricted_rate: 0.05,
+            dirty_read: false,
+        };
         let mut a = FaultInjector::new(plan);
         let mut b = FaultInjector::new(plan);
         for _ in 0..5_000 {
@@ -187,8 +209,13 @@ mod tests {
 
     #[test]
     fn rates_partition_roughly() {
-        let plan =
-            FaultPlan { seed: 99, spurious_rate: 0.25, shrink_rate: 0.25, restricted_rate: 0.25 };
+        let plan = FaultPlan {
+            seed: 99,
+            spurious_rate: 0.25,
+            shrink_rate: 0.25,
+            restricted_rate: 0.25,
+            dirty_read: false,
+        };
         let mut inj = FaultInjector::new(plan);
         let (mut sp, mut sh, mut rs, mut none) = (0u32, 0u32, 0u32, 0u32);
         let n = 20_000;

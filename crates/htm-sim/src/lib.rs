@@ -35,7 +35,6 @@
 
 pub mod abort;
 pub mod inject;
-pub mod lease;
 pub mod predictor;
 pub mod refimpl;
 pub mod stats;
@@ -44,7 +43,6 @@ pub mod txmem;
 
 pub use abort::{AbortReason, ExplicitCode, SpuriousCause};
 pub use inject::{Fault, FaultInjector, FaultPlan};
-pub use lease::LineLease;
 pub use predictor::OverflowPredictor;
 pub use refimpl::ReferenceTxMemory;
 pub use stats::HtmStats;

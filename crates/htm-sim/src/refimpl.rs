@@ -21,7 +21,6 @@ use machine_sim::ThreadId;
 
 use crate::abort::{AbortReason, ExplicitCode, SpuriousCause};
 use crate::inject::{Fault, FaultInjector, FaultPlan};
-use crate::lease::LineLease;
 use crate::predictor::OverflowPredictor;
 use crate::stats::HtmStats;
 use crate::trace::{TraceEvent, TraceSink};
@@ -52,15 +51,10 @@ pub struct ReferenceTxMemory<W: Clone> {
     trace: Option<Box<dyn TraceSink>>,
     /// Seeded fault injector, mirroring [`crate::TxMemory`]'s: draws are
     /// consumed only at transactional accesses so both sides of the
-    /// differential pair see the same fault stream.
+    /// differential pair see the same fault stream. The test-only
+    /// [`FaultPlan::dirty_read`] bug is not modelled here.
     injector: Option<FaultInjector>,
     now: u64,
-    /// Per-slot lease epochs, bumped in lockstep with
-    /// [`crate::TxMemory`]'s (same events, same slots, same per-victim
-    /// granularity) so `epoch_bumps` compares strictly in the
-    /// differential test. Slot `t` guards thread `t`'s in-transaction
-    /// leases; the last slot guards plain (out-of-transaction) leases.
-    epochs: Vec<u64>,
 }
 
 impl<W: Clone> ReferenceTxMemory<W> {
@@ -80,14 +74,12 @@ impl<W: Clone> ReferenceTxMemory<W> {
             trace: None,
             injector: None,
             now: 0,
-            epochs: vec![1; max_threads + 1],
         }
     }
 
     /// Install a fault-injection plan (or remove it with a no-op plan).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.bump_all_slots();
-        self.injector = if plan.is_noop() { None } else { Some(FaultInjector::new(plan)) };
+        self.injector = plan.draws().then(|| FaultInjector::new(plan));
     }
 
     /// Faults injected so far (zero without a plan).
@@ -126,7 +118,6 @@ impl<W: Clone> ReferenceTxMemory<W> {
     /// Grow the memory by `extra` words initialized to `init`.
     pub fn grow(&mut self, extra: usize, init: W) {
         assert!(self.txs.iter().all(Option::is_none), "memory growth with active transactions");
-        self.bump_all_slots();
         let new = self.words.len() + extra;
         self.words.resize(new, init);
     }
@@ -160,10 +151,6 @@ impl<W: Clone> ReferenceTxMemory<W> {
     /// Begin a transaction for thread `t` with the given budgets.
     pub fn begin(&mut self, t: ThreadId, budgets: Budgets) -> Result<(), AbortReason> {
         assert!(self.txs[t].is_none(), "nested transaction on thread {t}");
-        // A begin kills `t`'s own stale leases and every plain lease
-        // (granted on the promise that no transaction was active).
-        self.bump_slot(t);
-        self.bump_slot(self.txs.len());
         self.doomed[t] = None;
         if self.predictors[t].should_abort_eagerly() {
             let reason = AbortReason::EagerPredicted;
@@ -188,8 +175,6 @@ impl<W: Clone> ReferenceTxMemory<W> {
 
     /// Commit thread `t`'s transaction.
     pub fn commit(&mut self, t: ThreadId) -> Result<(), AbortReason> {
-        // Only `t`'s own in-transaction leases die with its transaction.
-        self.bump_slot(t);
         if let Some(reason) = self.take_doom(t) {
             return Err(reason);
         }
@@ -345,7 +330,6 @@ impl<W: Clone> ReferenceTxMemory<W> {
                 continue;
             }
             let reason = AbortReason::ConflictRead { with: t, line };
-            self.bump_slot(victim); // one bump per doomed victim, like `doom`
             self.rollback(victim);
             self.doomed[victim] = Some(reason);
             self.stats.record_abort(reason);
@@ -369,90 +353,7 @@ impl<W: Clone> ReferenceTxMemory<W> {
         self.words[addr] = value;
     }
 
-    // ---- line leases (degenerate per-word fallback) ---------------------
-    //
-    // The reference never grants a lease: `try_lease` returns a token that
-    // can never validate, and the `lease_*` accessors fall back to the full
-    // per-word path through the token's recorded owner. This is the
-    // executable specification of the lease API — the differential test
-    // drives both implementations with the same lease operations and the
-    // degenerate fallback must produce identical memory images, abort
-    // behaviour, and (lease_hits aside) statistics.
-
-    /// Current epoch of one lease slot (bumped in lockstep with the
-    /// directory impl).
-    #[inline]
-    pub fn epoch(&self, slot: usize) -> u64 {
-        self.epochs[slot]
-    }
-
-    /// True when `lease` is still current — never, for leases issued here.
-    #[inline]
-    pub fn lease_valid(&self, lease: &LineLease) -> bool {
-        lease.epoch == self.epochs[lease.slot]
-    }
-
-    /// Mirror of [`crate::TxMemory::try_lease`] that always declines:
-    /// counts the miss, then returns an epoch-0 token that still carries
-    /// the addressing (owner/line bounds/mode) so the `lease_*` fallbacks
-    /// know how to route the access.
-    pub fn try_lease(&mut self, t: ThreadId, addr: usize, write: bool) -> LineLease {
-        self.stats.lease_misses += 1;
-        if addr >= self.words.len() {
-            return LineLease::INVALID;
-        }
-        let start = self.line_of(addr) * self.line_words;
-        let end = (start + self.line_words).min(self.words.len());
-        let slot = if self.txs[t].is_some() { t } else { self.txs.len() };
-        LineLease { epoch: 0, slot, start, end, write, owner: t }
-    }
-
-    /// Degenerate [`crate::TxMemory::lease_read`]: a full per-word read by
-    /// the token's owner. Infallible for the same reason the directory
-    /// impl's direct path is: while the *directory* lease is valid no doom,
-    /// fault, or overflow can hit this access — the `expect` doubles as a
-    /// soundness check in the differential test.
-    pub fn lease_read(&mut self, lease: &LineLease, addr: usize) -> W {
-        self.read(lease.owner, addr).expect("degenerate lease read aborted")
-    }
-
-    /// Degenerate [`crate::TxMemory::lease_read_with`].
-    pub fn lease_read_with<R>(
-        &mut self,
-        lease: &LineLease,
-        addr: usize,
-        f: impl FnOnce(&W) -> R,
-    ) -> R {
-        self.read_with(lease.owner, addr, f).expect("degenerate lease read aborted")
-    }
-
-    /// Degenerate [`crate::TxMemory::lease_write`]: a full per-word write.
-    pub fn lease_write(&mut self, lease: &LineLease, addr: usize, value: W) {
-        self.write(lease.owner, addr, value).expect("degenerate lease write aborted");
-    }
-
-    /// No-op mirror of [`crate::TxMemory::flush_lease_stats`]: the fallback
-    /// counts every access eagerly, so there is never anything to flush.
-    pub fn flush_lease_stats(&mut self) {}
-
     // ---- internals ------------------------------------------------------
-
-    /// Mirror of the directory impl's per-slot epoch bump (minus the
-    /// stats flush, which the eager fallback never needs).
-    #[inline]
-    fn bump_slot(&mut self, slot: usize) {
-        self.epochs[slot] += 1;
-        self.stats.epoch_bumps += 1;
-    }
-
-    /// Mirror of the directory impl's bump-every-slot path (fault-plan
-    /// installation and memory growth).
-    fn bump_all_slots(&mut self) {
-        for e in &mut self.epochs {
-            *e += 1;
-        }
-        self.stats.epoch_bumps += self.epochs.len() as u64;
-    }
 
     /// Consult the fault injector for one transactional access by `t` —
     /// the mirror of `TxMemory::inject_fault` (same gating, same draw
@@ -511,7 +412,6 @@ impl<W: Clone> ReferenceTxMemory<W> {
                 None
             };
             if let Some(reason) = reason {
-                self.bump_slot(victim); // one bump per doomed victim, like `doom`
                 self.rollback(victim);
                 self.doomed[victim] = Some(reason);
                 self.stats.record_abort(reason);
@@ -527,7 +427,6 @@ impl<W: Clone> ReferenceTxMemory<W> {
 
     /// Roll back and discard `t`'s transaction, recording `reason`.
     fn abort_self(&mut self, t: ThreadId, reason: AbortReason, line: Option<usize>) {
-        self.bump_slot(t);
         self.rollback(t);
         self.doomed[t] = None;
         self.stats.record_abort(reason);

@@ -34,16 +34,14 @@ pub struct HtmStats {
     /// Non-transactional accesses that doomed at least one transaction
     /// (e.g. GIL-holder writes).
     pub nontx_dooms: u64,
-    /// Word accesses served through a still-valid line lease (the batched
-    /// direct path). Folded in at flush time, so `reads`/`writes` above
-    /// remain the full per-word access counts either way.
+    /// Always 0; kept so `perfbench/` builds; drop in the next benchmark
+    /// revision.
     pub lease_hits: u64,
-    /// [`crate::TxMemory::try_lease`] calls — each one follows a
-    /// full-path access that a valid lease would have absorbed, whether or
-    /// not the lease was granted.
+    /// Always 0; kept so `perfbench/` builds; drop in the next benchmark
+    /// revision.
     pub lease_misses: u64,
-    /// Global lease-epoch bumps (tx begin/commit/abort, dooms, fault-plan
-    /// installs, growth); each invalidates every outstanding lease.
+    /// Always 0; kept so `perfbench/` builds; drop in the next benchmark
+    /// revision.
     pub epoch_bumps: u64,
 }
 
@@ -129,9 +127,6 @@ impl HtmStats {
         self.restricted += other.restricted;
         self.spurious += other.spurious;
         self.nontx_dooms += other.nontx_dooms;
-        self.lease_hits += other.lease_hits;
-        self.lease_misses += other.lease_misses;
-        self.epoch_bumps += other.epoch_bumps;
     }
 }
 
@@ -174,16 +169,8 @@ mod tests {
     fn merge_adds_everything() {
         let mut a = HtmStats { begins: 5, commits: 3, reads: 10, ..HtmStats::default() };
         a.record_abort(AbortReason::Restricted);
-        let mut b = HtmStats {
-            begins: 7,
-            nontx_dooms: 2,
-            reads: 4,
-            writes: 6,
-            lease_hits: 3,
-            lease_misses: 5,
-            epoch_bumps: 9,
-            ..HtmStats::default()
-        };
+        let mut b =
+            HtmStats { begins: 7, nontx_dooms: 2, reads: 4, writes: 6, ..HtmStats::default() };
         b.record_abort(AbortReason::EagerPredicted);
         a.merge(&b);
         assert_eq!(a.begins, 12);
@@ -193,6 +180,5 @@ mod tests {
         assert_eq!(a.reads, 14);
         assert_eq!(a.writes, 6);
         assert_eq!(a.total_accesses(), 20);
-        assert_eq!((a.lease_hits, a.lease_misses, a.epoch_bumps), (3, 5, 9));
     }
 }

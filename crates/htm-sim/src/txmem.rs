@@ -30,34 +30,22 @@
 //! exactly once, when its directory bit first flips) whose lengths are the
 //! footprint counters, plus the undo log. All per-thread buffers are
 //! retained across transactions, so a steady-state begin → access* →
-//! commit cycle performs **zero heap allocations**. A one-entry line memo
-//! per thread short-circuits the directory for consecutive accesses to the
-//! same line — sound because requester-wins dooming means a live
-//! transaction's recorded line can have no remote conflicting owner.
+//! commit cycle performs **zero heap allocations**. A [`MEMO_WAYS`]-way
+//! line memo per thread answers "is this line already in my read/write
+//! set?" before anything else, the way per-line tag state does in real
+//! HTM; see [`LineMemo`] for why a hit may skip the directory (and
+//! `DESIGN.md` §13).
 //!
 //! A doomed transaction is rolled back *immediately* (its undo log is
 //! replayed in reverse, its directory bits cleared) so the requester always
 //! observes committed data, mirroring how real HTM buffers speculative
 //! stores; the victim thread learns of the abort at its next access or at
 //! an explicit [`TxMemory::poll_doomed`].
-//!
-//! On top of the per-word entry points sits the **line-lease** batched
-//! path ([`TxMemory::try_lease`] / [`TxMemory::lease_read`] /
-//! [`TxMemory::lease_write`], see [`crate::lease`] and `DESIGN.md` §13):
-//! once an access has settled a line's bookkeeping, the interpreter can
-//! take an epoch-stamped token for that `(thread, line, mode)` and access
-//! further words on the line directly, batching the read/write counters
-//! until [`TxMemory::flush_lease_stats`]. Any event that could change the
-//! answer — begin, commit, abort, doom, fault-plan install, growth —
-//! bumps the epoch slots of exactly the leases it can invalidate: the
-//! affected thread's slot for its own transaction boundaries and dooms,
-//! the shared plain slot for any begin, every slot for global events.
 
 use machine_sim::ThreadId;
 
 use crate::abort::{AbortReason, ExplicitCode, SpuriousCause};
 use crate::inject::{Fault, FaultInjector, FaultPlan};
-use crate::lease::LineLease;
 use crate::predictor::OverflowPredictor;
 use crate::stats::HtmStats;
 use crate::trace::{TraceEvent, TraceSink};
@@ -141,10 +129,32 @@ impl TxSlot {
     }
 }
 
-/// One-entry cache of the last line a thread touched transactionally.
-/// Valid only while the thread's transaction is live (invalidated at
-/// begin, commit, and rollback); a hit proves set membership without a
-/// directory probe.
+/// Ways of the per-thread line memo, direct-mapped by `line % MEMO_WAYS`
+/// (a power of two, so the modulo is a mask).
+pub const MEMO_WAYS: usize = 16;
+
+/// One way of a thread's line memo: a line the thread's transaction has
+/// already put in its read and/or write set.
+///
+/// Invariant: an entry for thread `t` exists only while
+///
+/// - **`t`'s transaction is live** — entries are filled only when
+///   `txs[t].active`, and cleared in `begin` and in `release_tx`, which
+///   every commit, self-abort and doom goes through;
+/// - **no doom is pending for `t`** — a doom rolls `t` back, and the
+///   rollback clears the memo;
+/// - **no drawing fault plan is installed** — entries are never filled
+///   while `injector.is_some()`, and `set_fault_plan` clears every
+///   thread's memo, so under injection every access still draws once, in
+///   lockstep with the reference.
+///
+/// Requester-wins dooming then guarantees no remote transaction owns the
+/// line in a conflicting mode, and the footprint cannot grow, so a hit
+/// returns before the plain-path test, the doom delivery and the fault
+/// draw with exactly the result the directory path would give. (The
+/// test-only [`FaultPlan::dirty_read`] bug breaks requester-wins on
+/// purpose, so under it a writer's memo hit skips dooming the readers
+/// that read its line dirty.)
 #[derive(Debug, Clone, Copy)]
 struct LineMemo {
     line: usize,
@@ -153,7 +163,9 @@ struct LineMemo {
 }
 
 impl LineMemo {
-    const INVALID: LineMemo = LineMemo { line: usize::MAX, in_read: false, in_write: false };
+    /// A thread's memo with every way invalid.
+    const EMPTY: [LineMemo; MEMO_WAYS] =
+        [LineMemo { line: usize::MAX, in_read: false, in_write: false }; MEMO_WAYS];
 }
 
 /// Word-addressed shared memory with best-effort transactions.
@@ -166,7 +178,7 @@ pub struct TxMemory<W: Clone> {
     /// One ownership record per cache line, indexed by line number.
     dir: Vec<LineState>,
     txs: Vec<TxSlot>,
-    memos: Vec<LineMemo>,
+    memos: Vec<[LineMemo; MEMO_WAYS]>,
     /// Undo payloads, one arena per thread (index-linked from
     /// `TxSlot::undo`).
     undo_words: Vec<Vec<W>>,
@@ -189,25 +201,8 @@ pub struct TxMemory<W: Clone> {
     injector: Option<FaultInjector>,
     /// Simulated cycle stamped onto trace events; advanced by the caller.
     now: u64,
-    /// Lease epoch slots: one per thread (index `t`, stamps leases granted
-    /// inside `t`'s transactions) plus a final shared *plain* slot (index
-    /// `txs.len()`, stamps leases granted outside any transaction). A
-    /// [`LineLease`] is dead once its slot's value moved past its stamp.
-    /// All slots start at 1 so [`LineLease::INVALID`] (epoch 0) never
-    /// validates. Bumped by [`Self::bump_slot`] / [`Self::bump_all_slots`].
-    epochs: Vec<u64>,
-    /// Leased reads not yet folded into `stats.reads`.
-    pending_reads: u64,
-    /// Leased writes not yet folded into `stats.writes`.
-    pending_writes: u64,
-    /// Test-only injected serializability bug for the schedule-space
-    /// explorer: when set, the read path skips the requester-wins doom of
-    /// a remote writer, so reads observe speculative (possibly torn)
-    /// state. Never enabled outside explore tests. Read-lease grants are
-    /// unaffected: they require the reader bit, which `read_with` sets
-    /// either way, and leased re-reads of an already-read line match the
-    /// memo fast path's (bugged) behaviour exactly.
-    bug_dirty_read: bool,
+    /// The installed plan's [`FaultPlan::dirty_read`] test-only bug.
+    dirty_read: bool,
 }
 
 impl<W: Clone> TxMemory<W> {
@@ -226,7 +221,7 @@ impl<W: Clone> TxMemory<W> {
             line_shift: line_words.trailing_zeros(),
             dir: vec![EMPTY_LINE; size.div_ceil(line_words)],
             txs: (0..max_threads).map(|_| TxSlot::new()).collect(),
-            memos: vec![LineMemo::INVALID; max_threads],
+            memos: vec![LineMemo::EMPTY; max_threads],
             undo_words: (0..max_threads).map(|_| Vec::new()).collect(),
             doomed: vec![None; max_threads],
             predictors: (0..max_threads).map(|_| OverflowPredictor::disabled()).collect(),
@@ -236,26 +231,18 @@ impl<W: Clone> TxMemory<W> {
             trace: None,
             injector: None,
             now: 0,
-            epochs: vec![1; max_threads + 1],
-            pending_reads: 0,
-            pending_writes: 0,
-            bug_dirty_read: false,
+            dirty_read: false,
         }
-    }
-
-    /// Arm (or disarm) the test-only dirty-read bug — see the field doc.
-    pub fn set_bug_dirty_read(&mut self, on: bool) {
-        self.bug_dirty_read = on;
     }
 
     /// Install a fault-injection plan (or remove it with a no-op plan).
     /// Both memories of a differential pair must be given the same plan.
-    /// Invalidates all outstanding leases: the leased path never consults
-    /// the injector, so no lease may outlive a plan change (and none is
-    /// granted while a plan is installed).
+    /// Clears every thread's line memo: a memo hit skips the fault draw,
+    /// so no entry may survive into a plan (see [`LineMemo`]).
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.bump_all_slots();
-        self.injector = if plan.is_noop() { None } else { Some(FaultInjector::new(plan)) };
+        self.memos.fill(LineMemo::EMPTY);
+        self.injector = plan.draws().then(|| FaultInjector::new(plan));
+        self.dirty_read = plan.dirty_read;
     }
 
     /// Faults injected so far (zero without a plan).
@@ -315,7 +302,6 @@ impl<W: Clone> TxMemory<W> {
     /// doomed by the GIL-word write.
     pub fn grow(&mut self, extra: usize, init: W) {
         assert!(self.active_txs == 0, "memory growth with active transactions");
-        self.bump_all_slots(); // leases cache end-of-line clamps against the old size
         let new = self.words.len() + extra;
         self.words.resize(new, init);
         self.dir.resize(new.div_ceil(self.line_words), EMPTY_LINE);
@@ -357,12 +343,6 @@ impl<W: Clone> TxMemory<W> {
     /// kills it ([`AbortReason::EagerPredicted`]).
     pub fn begin(&mut self, t: ThreadId, budgets: Budgets) -> Result<(), AbortReason> {
         assert!(!self.txs[t].active, "nested transaction on thread {t}");
-        // `t`'s own pre-transaction leases die with the mode change, and
-        // every plain lease anywhere dies because a transaction now exists.
-        // Remote in-transaction leases stay valid: this begin takes no line
-        // ownership away from them.
-        self.bump_slot(t);
-        self.bump_slot(self.txs.len());
         let _ = self.take_doom(t);
         if self.predictors[t].should_abort_eagerly() {
             let reason = AbortReason::EagerPredicted;
@@ -381,7 +361,7 @@ impl<W: Clone> TxMemory<W> {
         );
         tx.active = true;
         tx.budgets = budgets;
-        self.memos[t] = LineMemo::INVALID;
+        self.memos[t] = LineMemo::EMPTY;
         self.active_txs += 1;
         let cycle = self.now;
         self.emit(TraceEvent::Begin { thread: t, cycle });
@@ -391,9 +371,6 @@ impl<W: Clone> TxMemory<W> {
     /// Commit thread `t`'s transaction (`TEND`/`XEND`). Fails if a remote
     /// conflict doomed it first (the transaction is already rolled back).
     pub fn commit(&mut self, t: ThreadId) -> Result<(), AbortReason> {
-        // Only `t`'s leases die: releasing `t`'s line marks cannot affect
-        // what another thread's settled footprint already covers.
-        self.bump_slot(t);
         if let Some(reason) = self.take_doom(t) {
             return Err(reason);
         }
@@ -465,6 +442,7 @@ impl<W: Clone> TxMemory<W> {
     /// # Panics
     ///
     /// As [`Self::read`]: out-of-bounds `addr` panics with context.
+    #[inline]
     pub fn read_with<R>(
         &mut self,
         t: ThreadId,
@@ -475,6 +453,14 @@ impl<W: Clone> TxMemory<W> {
             out_of_bounds("read", addr, addr >> self.line_shift, self.words.len());
         }
         self.stats.reads += 1;
+        let line = addr >> self.line_shift;
+        let memo = self.memos[t][line % MEMO_WAYS];
+        if memo.line == line && memo.in_read {
+            // Line already in our read set ⇒ no remote writer can exist
+            // (its write would have doomed us), and the footprint cannot
+            // grow — skip the directory entirely.
+            return Ok(f(&self.words[addr]));
+        }
         if self.active_txs == 0 && self.pending_dooms == 0 {
             // Non-transactional fast path: nothing to doom, nothing doomed.
             return Ok(f(&self.words[addr]));
@@ -485,19 +471,11 @@ impl<W: Clone> TxMemory<W> {
         if let Some(reason) = self.inject_fault(t) {
             return Err(reason);
         }
-        let line = addr >> self.line_shift;
-        let memo = self.memos[t];
-        if memo.line == line && memo.in_read {
-            // Line already in our read set ⇒ no remote writer can exist
-            // (its write would have doomed us), and the footprint cannot
-            // grow — skip the directory entirely.
-            return Ok(f(&self.words[addr]));
-        }
-        // Requester wins: kill a remote writer of this line. (The
-        // test-only dirty-read bug skips exactly this doom, letting the
-        // read observe the writer's speculative in-place state.)
+        // Requester wins: kill a remote writer of this line. (A dirty-read
+        // fault plan skips exactly this doom, letting the read observe the
+        // writer's speculative in-place state.)
         let st = self.dir[line];
-        if st.writer != NO_WRITER && st.writer as usize != t && !self.bug_dirty_read {
+        if st.writer != NO_WRITER && st.writer as usize != t && !self.dirty_read {
             let in_tx = self.txs[t].active;
             self.doom(st.writer as usize, AbortReason::ConflictWrite { with: t, line }, line);
             if !in_tx {
@@ -516,8 +494,10 @@ impl<W: Clone> TxMemory<W> {
                     return Err(reason);
                 }
             }
-            self.memos[t] =
-                LineMemo { line, in_read: true, in_write: self.dir[line].writer as usize == t };
+            if self.injector.is_none() {
+                self.memos[t][line % MEMO_WAYS] =
+                    LineMemo { line, in_read: true, in_write: self.dir[line].writer as usize == t };
+            }
         }
         Ok(f(&self.words[addr]))
     }
@@ -528,11 +508,21 @@ impl<W: Clone> TxMemory<W> {
     ///
     /// Panics (also in release builds) when `addr` is out of bounds, with
     /// addr/line context — see [`Self::read`].
+    #[inline]
     pub fn write(&mut self, t: ThreadId, addr: usize, value: W) -> Result<(), AbortReason> {
         if addr >= self.words.len() {
             out_of_bounds("write", addr, addr >> self.line_shift, self.words.len());
         }
         self.stats.writes += 1;
+        let line = addr >> self.line_shift;
+        let memo = self.memos[t][line % MEMO_WAYS];
+        if memo.line == line && memo.in_write {
+            // Line already in our write set ⇒ we are the sole owner; only
+            // the undo log needs to grow.
+            self.log_undo(t, addr);
+            self.words[addr] = value;
+            return Ok(());
+        }
         if self.active_txs == 0 && self.pending_dooms == 0 {
             // Non-transactional fast path: nothing to doom, nothing doomed.
             self.words[addr] = value;
@@ -543,16 +533,6 @@ impl<W: Clone> TxMemory<W> {
         }
         if let Some(reason) = self.inject_fault(t) {
             return Err(reason);
-        }
-        let line = addr >> self.line_shift;
-        let memo = self.memos[t];
-        if memo.line == line && memo.in_write {
-            // Line already in our write set ⇒ we are the sole owner; only
-            // the undo log needs to grow.
-            self.undo_words[t].push(self.words[addr].clone());
-            self.txs[t].undo.push(addr);
-            self.words[addr] = value;
-            return Ok(());
         }
         // Kill remote readers *and* the remote writer of this line, in
         // ascending thread order like the reference scan.
@@ -580,8 +560,7 @@ impl<W: Clone> TxMemory<W> {
             }
         }
         if self.txs[t].active {
-            self.undo_words[t].push(self.words[addr].clone());
-            self.txs[t].undo.push(addr);
+            self.log_undo(t, addr);
             if self.dir[line].writer as usize != t {
                 self.dir[line].writer = t as u8;
                 self.txs[t].write_lines.push(line);
@@ -592,8 +571,10 @@ impl<W: Clone> TxMemory<W> {
                     return Err(reason);
                 }
             }
-            self.memos[t] =
-                LineMemo { line, in_read: self.dir[line].readers & own != 0, in_write: true };
+            if self.injector.is_none() {
+                self.memos[t][line % MEMO_WAYS] =
+                    LineMemo { line, in_read: self.dir[line].readers & own != 0, in_write: true };
+            }
         }
         self.words[addr] = value;
         Ok(())
@@ -675,161 +656,25 @@ impl<W: Clone> TxMemory<W> {
         self.words[addr] = value;
     }
 
-    // ---- line leases (batched accounting fast path) ---------------------
+    // ---- internals ------------------------------------------------------
 
-    /// Current value of one lease epoch slot (thread index, or
-    /// `threads()` for the plain slot). A [`LineLease`] is valid iff its
-    /// stamp equals its slot's current value.
+    /// Undo-log the word at `addr` before `t`'s transactional store to it,
+    /// unless the log's newest entry already is `addr`: rollback replays
+    /// backward, so that older record restores the older value and an
+    /// intermediate one needs no entry.
     #[inline]
-    pub fn epoch(&self, slot: usize) -> u64 {
-        self.epochs[slot]
-    }
-
-    /// True when `lease` is still current: its stamp matches its epoch
-    /// slot. Events bump exactly the slots whose leases they can
-    /// invalidate — the owner's slot at its own begin/commit/abort and
-    /// when it is doomed, the shared plain slot at any begin, every slot
-    /// at fault-plan installs and memory growth.
-    #[inline]
-    pub fn lease_valid(&self, lease: &LineLease) -> bool {
-        lease.epoch == self.epochs[lease.slot]
-    }
-
-    /// Try to take a lease on the line containing `addr` for thread `t`,
-    /// in write mode (`write = true`) or read mode. Returns
-    /// [`LineLease::INVALID`] when the batched path cannot soundly serve
-    /// accesses that the full path would account for:
-    ///
-    /// - a fault plan is installed (every access must draw from the PRNG);
-    /// - in a transaction, a write lease requires `t` to already be the
-    ///   line's speculative writer, and a read lease requires `t`'s reader
-    ///   bit — i.e. a full-path access of the same mode must have settled
-    ///   the footprint/budget accounting for this line first;
-    /// - outside a transaction, no transaction may be active anywhere
-    ///   (a leased access performs no dooming) and `t` must have no
-    ///   undelivered doom (a leased access delivers no pending abort).
-    ///
-    /// Every call counts one `lease_misses` — by construction the caller
-    /// just performed (or is about to perform) a full-path access that a
-    /// valid lease would have absorbed.
-    pub fn try_lease(&mut self, t: ThreadId, addr: usize, write: bool) -> LineLease {
-        self.stats.lease_misses += 1;
-        if self.injector.is_some() || addr >= self.words.len() {
-            return LineLease::INVALID;
-        }
-        let line = addr >> self.line_shift;
-        let grantable = if self.txs[t].active {
-            let st = self.dir[line];
-            if write {
-                st.writer as usize == t
-            } else {
-                // Reader bit set ⇒ line is in our read set; requester-wins
-                // guarantees no remote writer can coexist with it.
-                st.readers & (1u32 << t) != 0
-            }
-        } else {
-            // Plain leases: no transaction may be active anywhere (a leased
-            // access dooms nothing) and `t` itself must have no undelivered
-            // doom (a leased access would skip its own abort delivery).
-            // Other threads' pending dooms don't matter — they are
-            // delivered at those threads' own next full-path access, and a
-            // doom can only target an active transaction, which `t` does
-            // not have, so none can arrive while the lease is held. This
-            // keeps leases alive for a GIL-fallback holder while its
-            // victims have not yet polled their dooms.
-            self.active_txs == 0 && self.doomed[t].is_none()
-        };
-        if !grantable {
-            return LineLease::INVALID;
-        }
-        let start = line << self.line_shift;
-        let end = (start + self.line_words).min(self.words.len());
-        let slot = if self.txs[t].active { t } else { self.txs.len() };
-        LineLease { epoch: self.epochs[slot], slot, start, end, write, owner: t }
-    }
-
-    /// Read a word through a valid read lease — no accounting beyond a
-    /// batched counter. The caller must have checked [`Self::lease_valid`]
-    /// and [`LineLease::covers`]; both are debug-asserted.
-    #[inline]
-    pub fn lease_read(&mut self, lease: &LineLease, addr: usize) -> W {
-        self.lease_read_with(lease, addr, W::clone)
-    }
-
-    /// [`Self::lease_read`] applying `f` in place instead of cloning.
-    #[inline]
-    pub fn lease_read_with<R>(
-        &mut self,
-        lease: &LineLease,
-        addr: usize,
-        f: impl FnOnce(&W) -> R,
-    ) -> R {
-        debug_assert!(self.lease_valid(lease), "read through a stale lease");
-        debug_assert!(!lease.write && lease.covers(addr), "lease does not cover this read");
-        self.pending_reads += 1;
-        f(&self.words[addr])
-    }
-
-    /// Write a word through a valid write lease. In a transaction the old
-    /// word is still undo-logged (skipped when the log's newest entry is
-    /// already this address — replaying backward makes the older record
-    /// win, so intermediate values need no entry); what the lease skips is
-    /// the doom/fault/conflict/footprint bookkeeping. Same caller
-    /// obligations as [`Self::lease_read`].
-    #[inline]
-    pub fn lease_write(&mut self, lease: &LineLease, addr: usize, value: W) {
-        debug_assert!(self.lease_valid(lease), "write through a stale lease");
-        debug_assert!(lease.write && lease.covers(addr), "lease does not cover this write");
-        self.pending_writes += 1;
-        let t = lease.owner;
-        // slot == owner exactly for in-transaction leases (the plain slot
-        // is one past the last thread index).
-        if lease.slot == t && self.txs[t].undo.last() != Some(&addr) {
+    fn log_undo(&mut self, t: ThreadId, addr: usize) {
+        if self.txs[t].undo.last() != Some(&addr) {
             self.undo_words[t].push(self.words[addr].clone());
             self.txs[t].undo.push(addr);
         }
-        self.words[addr] = value;
-    }
-
-    /// Fold the batched leased-access counters into [`HtmStats`]. Called
-    /// internally at every epoch bump; the executor also calls it at yield
-    /// points and before reporting so `stats()` is exact there.
-    pub fn flush_lease_stats(&mut self) {
-        if self.pending_reads != 0 || self.pending_writes != 0 {
-            self.stats.lease_hits += self.pending_reads + self.pending_writes;
-            self.stats.reads += self.pending_reads;
-            self.stats.writes += self.pending_writes;
-            self.pending_reads = 0;
-            self.pending_writes = 0;
-        }
-    }
-
-    // ---- internals ------------------------------------------------------
-
-    /// Invalidate every lease stamped against `slot` (one counter
-    /// increment) and settle the batched stats while they are still
-    /// attributable.
-    #[inline]
-    fn bump_slot(&mut self, slot: usize) {
-        self.epochs[slot] += 1;
-        self.stats.epoch_bumps += 1;
-        self.flush_lease_stats();
-    }
-
-    /// Invalidate every outstanding lease, whatever its slot — for events
-    /// that change global ground rules (fault-plan installs, growth).
-    fn bump_all_slots(&mut self) {
-        for e in &mut self.epochs {
-            *e += 1;
-        }
-        self.stats.epoch_bumps += self.epochs.len() as u64;
-        self.flush_lease_stats();
     }
 
     /// Consult the fault injector for one transactional access by `t`.
-    /// Draws happen only while `t` has a live transaction (one draw per
-    /// access, before the memo shortcut), so two memories driven with the
-    /// same operation sequence consume identical randomness. Returns the
+    /// Draws happen only while `t` has a live transaction, one per access
+    /// (a plan keeps the memo empty, so no access skips its draw), so two
+    /// memories driven with the same operation sequence consume identical
+    /// randomness. Returns the
     /// abort reason when the fault killed the transaction.
     fn inject_fault(&mut self, t: ThreadId) -> Option<AbortReason> {
         // Ordered so the no-plan common case is a single null test.
@@ -887,10 +732,6 @@ impl<W: Clone> TxMemory<W> {
     /// `line`: roll it back eagerly and park the abort reason for the
     /// victim's next access or poll.
     fn doom(&mut self, victim: ThreadId, reason: AbortReason, line: usize) {
-        // Only the victim's leases die: its ownership marks are about to
-        // be released and its memory rolled back, but no other thread's
-        // settled footprint changes.
-        self.bump_slot(victim);
         self.rollback(victim);
         debug_assert!(self.doomed[victim].is_none(), "victim already doomed");
         self.doomed[victim] = Some(reason);
@@ -904,7 +745,6 @@ impl<W: Clone> TxMemory<W> {
     /// `line` is the faulting cache line where the abort has one
     /// (footprint overflows pass the line that burst the budget).
     fn abort_self(&mut self, t: ThreadId, reason: AbortReason, line: Option<usize>) {
-        self.bump_slot(t);
         self.rollback(t);
         let _ = self.take_doom(t);
         self.stats.record_abort(reason);
@@ -953,7 +793,7 @@ impl<W: Clone> TxMemory<W> {
         self.txs[t].write_lines = write_lines;
         self.txs[t].undo.clear();
         self.undo_words[t].clear();
-        self.memos[t] = LineMemo::INVALID;
+        self.memos[t] = LineMemo::EMPTY;
         self.active_txs -= 1;
     }
 }
@@ -1458,182 +1298,73 @@ mod tests {
     }
 
     #[test]
-    fn plain_lease_round_trip_matches_full_path_stats() {
-        let mut m = mem();
-        let rl = m.try_lease(0, 10, false);
-        let wl = m.try_lease(0, 10, true);
-        assert!(m.lease_valid(&rl) && m.lease_valid(&wl));
-        assert_eq!((rl.start, rl.end), (8, 16), "line-aligned half-open range");
-        m.lease_write(&wl, 10, 5);
-        assert_eq!(m.lease_read(&rl, 10), 5);
-        // Batched counters are invisible until flushed...
-        assert_eq!((m.stats().reads, m.stats().writes), (0, 0));
-        m.flush_lease_stats();
-        // ...then exactly match what the per-word path would have counted.
-        let s = m.stats();
-        assert_eq!((s.reads, s.writes), (1, 1));
-        assert_eq!(s.lease_hits, 2);
-        assert_eq!(s.lease_misses, 2, "each try_lease counts one miss");
-    }
-
-    #[test]
-    fn plain_lease_denied_while_any_transaction_is_active() {
-        let mut m = mem();
-        m.begin(1, big_budgets()).unwrap();
-        let rl = m.try_lease(0, 10, false);
-        let wl = m.try_lease(0, 10, true);
-        assert!(!m.lease_valid(&rl));
-        assert!(!m.lease_valid(&wl));
-        m.commit(1).unwrap();
-        let rl = m.try_lease(0, 10, false);
-        assert!(m.lease_valid(&rl));
-    }
-
-    #[test]
-    fn in_tx_lease_requires_prior_same_mode_footprint() {
-        let mut m = mem();
-        m.begin(0, big_budgets()).unwrap();
-        // Nothing touched yet: both modes denied.
-        let rl = m.try_lease(0, 10, false);
-        let wl = m.try_lease(0, 10, true);
-        assert!(!m.lease_valid(&rl));
-        assert!(!m.lease_valid(&wl));
-        // A full-path read settles the read footprint only.
-        let _ = m.read(0, 10).unwrap();
-        let rl = m.try_lease(0, 10, false);
-        let wl = m.try_lease(0, 10, true);
-        assert!(m.lease_valid(&rl));
-        assert!(!m.lease_valid(&wl), "read set does not cover writes");
-        // A full-path write settles the write footprint.
-        m.write(0, 10, 1).unwrap();
-        let wl = m.try_lease(0, 10, true);
-        assert!(m.lease_valid(&wl));
-        m.commit(0).unwrap();
-    }
-
-    #[test]
-    fn any_begin_invalidates_plain_leases() {
-        let mut m = mem();
-        let lease = m.try_lease(0, 10, false);
-        assert!(m.lease_valid(&lease));
-        m.begin(1, big_budgets()).unwrap();
-        assert!(!m.lease_valid(&lease), "any begin bumps the plain slot");
-        m.commit(1).unwrap();
-        assert!(!m.lease_valid(&lease));
-        assert!(m.stats().epoch_bumps >= 2);
-    }
-
-    #[test]
-    fn remote_tx_boundaries_keep_in_tx_leases_valid() {
-        let mut m = mem();
-        m.begin(0, big_budgets()).unwrap();
-        let _ = m.read(0, 10).unwrap();
-        m.write(0, 10, 1).unwrap();
-        let rl = m.try_lease(0, 10, false);
-        let wl = m.try_lease(0, 10, true);
-        assert!(m.lease_valid(&rl) && m.lease_valid(&wl));
-        // A remote transaction beginning and committing on an unrelated
-        // line cannot take ownership away from thread 0 without dooming
-        // it first, so thread 0's leases survive both boundaries.
-        m.begin(1, big_budgets()).unwrap();
-        assert!(m.lease_valid(&rl) && m.lease_valid(&wl));
-        m.write(1, 500, 9).unwrap();
-        m.commit(1).unwrap();
-        assert!(m.lease_valid(&rl) && m.lease_valid(&wl));
-        // Thread 0's own commit kills them.
-        m.commit(0).unwrap();
-        assert!(!m.lease_valid(&rl) && !m.lease_valid(&wl));
-    }
-
-    #[test]
-    fn doom_invalidates_only_the_victims_leases() {
-        let mut m = mem();
-        m.begin(0, big_budgets()).unwrap();
-        let _ = m.read(0, 10).unwrap();
-        let rl0 = m.try_lease(0, 10, false);
-        m.begin(1, big_budgets()).unwrap();
-        let _ = m.read(1, 500).unwrap();
-        let rl1 = m.try_lease(1, 500, false);
-        assert!(m.lease_valid(&rl0) && m.lease_valid(&rl1));
-        // Thread 1 writes thread 0's line: requester wins, thread 0 is
-        // doomed and its lease dies; thread 1's own lease survives.
-        m.write(1, 10, 5).unwrap();
-        assert!(!m.lease_valid(&rl0), "doomed victim's slot is bumped");
-        assert!(m.lease_valid(&rl1), "the requester's leases survive");
-        assert!(m.poll_doomed(0).is_some());
-        m.commit(1).unwrap();
-    }
-
-    #[test]
-    fn leased_writes_roll_back_like_full_path_writes() {
-        let mut m = mem();
-        for i in 8..16 {
-            m.write(0, i, 100 + i as u64).unwrap();
-        }
-        m.begin(0, big_budgets()).unwrap();
-        m.write(0, 10, 1).unwrap(); // full path claims the line
-        let wl = m.try_lease(0, 10, true);
-        assert!(m.lease_valid(&wl));
-        m.lease_write(&wl, 8, 7);
-        m.lease_write(&wl, 15, 7);
-        m.tabort(0, 1);
-        for i in 8..16 {
-            assert_eq!(*m.peek(i), 100 + i as u64, "word {i} restored after abort");
-        }
-    }
-
-    #[test]
-    fn repeated_leased_writes_log_one_undo_entry_and_restore_oldest() {
+    fn repeated_writes_log_one_undo_entry_and_restore_oldest() {
         let mut m = mem();
         m.poke(8, 70);
         m.poke(9, 71);
         m.begin(0, big_budgets()).unwrap();
-        m.write(0, 8, 1).unwrap();
-        let wl1 = m.try_lease(0, 8, true);
-        assert!(m.lease_valid(&wl1));
-        m.lease_write(&wl1, 9, 2);
-        // A no-op fault-plan install bumps every slot, killing wl1
-        // without disturbing thread 0's transaction.
-        m.set_fault_plan(FaultPlan::spurious(7, 0.0));
-        assert!(!m.lease_valid(&wl1));
-        let wl2 = m.try_lease(0, 8, true); // still the writer: re-granted
-        assert!(m.lease_valid(&wl2));
+        m.write(0, 8, 1).unwrap(); // directory path: claims line 1
+        m.write(0, 9, 2).unwrap(); // memo hits from here on
+        m.write(0, 9, 3).unwrap();
+        m.write(0, 9, 4).unwrap();
         // Consecutive same-address writes dedup to the first undo entry,
         // which holds the oldest (pre-transaction) value.
-        m.lease_write(&wl2, 9, 3);
-        m.lease_write(&wl2, 9, 4);
+        assert_eq!(m.txs[0].undo, [8, 9]);
+        assert_eq!(m.undo_words[0], [70, 71]);
+        m.write(0, 8, 5).unwrap(); // not the newest entry: logged again
+        assert_eq!(m.txs[0].undo, [8, 9, 8]);
         m.tabort(0, 1);
         assert_eq!(*m.peek(8), 70);
         assert_eq!(*m.peek(9), 71, "oldest undo record wins on rollback");
     }
 
     #[test]
-    fn fault_plan_denies_and_invalidates_leases() {
+    fn memo_evicts_by_way_and_never_skips_footprint() {
+        // Lines 0 and MEMO_WAYS share way 0: alternating between them
+        // evicts each other's entry, but the footprint is directory state
+        // and stays exact.
+        let mut m: TxMemory<u64> = TxMemory::new(8 * 4 * MEMO_WAYS, 8, 2, 0);
+        m.begin(0, big_budgets()).unwrap();
+        for _ in 0..3 {
+            m.read(0, 0).unwrap();
+            m.write(0, 8 * MEMO_WAYS, 1).unwrap();
+        }
+        assert_eq!(m.footprint(0), (1, 1));
+        assert_eq!(m.memos[0][0].line, MEMO_WAYS, "last access owns the way");
+        // A remote write to the evicted line still dooms the reader.
+        m.write(1, 1, 9).unwrap();
+        assert!(matches!(m.poll_doomed(0), Some(AbortReason::ConflictRead { with: 1, line: 0 })));
+        assert!(m.memos[0].iter().all(|e| e.line == usize::MAX), "doom clears the memo");
+    }
+
+    #[test]
+    fn plan_installed_mid_transaction_makes_the_next_memoised_access_draw() {
         let mut m = mem();
-        let lease = m.try_lease(0, 10, false);
-        assert!(m.lease_valid(&lease));
+        m.begin(0, big_budgets()).unwrap();
+        m.read(0, 10).unwrap();
+        m.read(0, 11).unwrap(); // memo hit: no draw without a plan
         m.set_fault_plan(FaultPlan::spurious(7, 1.0));
-        assert!(!m.lease_valid(&lease), "plan install bumps the epoch");
-        let denied = m.try_lease(0, 10, false);
-        assert!(!m.lease_valid(&denied), "no leases under injection");
+        assert_eq!(m.faults_injected(), 0);
+        let err = m.read(0, 12).unwrap_err(); // same line, but it draws
+        assert!(matches!(err, AbortReason::Spurious { .. }));
+        assert_eq!(m.faults_injected(), 1);
+        assert!(!m.in_tx(0));
+        // Under a plan the memo is never refilled: every access draws.
+        m.begin(0, big_budgets()).unwrap();
+        assert!(m.read(0, 10).is_err());
+        assert_eq!(m.faults_injected(), 2);
     }
 
     #[test]
-    fn leased_stats_flush_automatically_at_epoch_bumps() {
+    fn dirty_read_plan_skips_only_the_read_side_doom() {
         let mut m = mem();
-        let rl = m.try_lease(0, 10, false);
-        let _ = m.lease_read(&rl, 10);
-        let _ = m.lease_read(&rl, 11);
-        m.begin(1, big_budgets()).unwrap(); // bump flushes the batch
-        assert_eq!(m.stats().reads, 2);
-        assert_eq!(m.stats().lease_hits, 2);
-        m.commit(1).unwrap();
-    }
-
-    #[test]
-    fn out_of_bounds_lease_request_is_denied() {
-        let mut m = mem();
-        let lease = m.try_lease(0, 99_999, false);
-        assert!(!m.lease_valid(&lease));
+        m.set_fault_plan(FaultPlan { dirty_read: true, ..FaultPlan::none() });
+        m.begin(0, big_budgets()).unwrap();
+        m.write(0, 5, 7).unwrap();
+        assert_eq!(m.read(1, 5).unwrap(), 7, "reads the speculative value");
+        assert_eq!(m.poll_doomed(0), None, "the remote writer survives");
+        assert_eq!(m.faults_injected(), 0);
+        m.write(1, 5, 8).unwrap(); // writes still doom
+        assert!(matches!(m.poll_doomed(0), Some(AbortReason::ConflictWrite { with: 1, .. })));
     }
 }

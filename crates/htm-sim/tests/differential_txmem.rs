@@ -4,9 +4,10 @@
 //!
 //! Both implementations are driven with the same randomized operation
 //! sequence — begins (with randomized budgets), reads, writes, commits,
-//! explicit and restricted aborts, polls, and simulated-cycle advances —
-//! over randomized geometries (line size, thread count). After *every*
-//! operation the test requires:
+//! explicit, restricted and interrupt aborts, polls, simulated-cycle
+//! advances and mid-run fault-plan installs — over randomized geometries
+//! (line size, thread count, hot-window width). After *every* operation
+//! the test requires:
 //!
 //! * identical `Result` values, including the exact [`AbortReason`];
 //! * identical footprints, `in_tx` flags, and active-transaction counts;
@@ -22,10 +23,14 @@
 //! conflict attribution, victim choice, overflow ordering, statistics, or
 //! rollback behaviour shows up here as a minimal counterexample.
 
-use htm_sim::{Budgets, FaultPlan, LineLease, ReferenceTxMemory, RingBufferSink, TxMemory};
+use htm_sim::txmem::MEMO_WAYS;
+use htm_sim::{Budgets, FaultPlan, ReferenceTxMemory, RingBufferSink, SpuriousCause, TxMemory};
 use proptest::prelude::*;
 
 const MEM_WORDS: usize = 256;
+
+/// Line size of the structured (hot-window) tests.
+const HOT_LINE_WORDS: usize = 4;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -45,53 +50,13 @@ enum Op {
     /// `doom_all_active(t, addr)` — the LazyGuarded acquisition-time
     /// guard: every other active transaction dies.
     DoomAll(usize, usize),
-}
-
-/// Operations for the lease differential test: the base interleaving plus
-/// lease acquisition, accesses through a held lease (direct path on the
-/// directory impl, degenerate per-word fallback on the reference), and the
-/// epoch-invalidating events — spurious interrupt kills and fault-plan
-/// toggles — the lease protocol must survive.
-#[derive(Debug, Clone)]
-enum LOp {
-    Begin(usize, usize, usize),
-    Read(usize, usize),
-    Write(usize, usize, u64),
-    Commit(usize),
-    Tabort(usize),
-    Poll(usize),
-    /// `try_lease(t, addr, write)` on both sides; the pair is held in the
-    /// thread's lease slot (replacing any previous one).
-    Acquire(usize, usize, bool),
-    /// Access through the thread's held lease: direct path while the
-    /// directory lease is valid, full per-word path once it went stale.
-    Access(usize, usize, u64),
-    /// Timer-interrupt kill (`abort_spurious`), an epoch bump.
+    /// Timer-interrupt kill (`abort_spurious`) of whatever `t` has open,
+    /// possibly in the middle of memoised accesses.
     Spurious(usize),
-    /// Install (`true`) or remove a fault plan; leases are denied while a
-    /// plan is live and every toggle bumps the epoch.
+    /// Install (`true`) or remove the test's fault plan mid-run: the
+    /// directory impl must stop serving memo hits the moment a plan is
+    /// live, so every later access draws in lockstep with the reference.
     SetPlan(bool),
-}
-
-fn lease_op_strategy(threads: usize) -> impl Strategy<Value = LOp> {
-    let unbound = |b: usize| if b == 6 { 1 << 20 } else { b };
-    prop_oneof![
-        (0..threads, 1usize..7, 1usize..7).prop_map(move |(t, r, w)| LOp::Begin(
-            t,
-            unbound(r),
-            unbound(w)
-        )),
-        (0..threads, 0..MEM_WORDS).prop_map(|(t, a)| LOp::Read(t, a)),
-        (0..threads, 0..MEM_WORDS, any::<u64>()).prop_map(|(t, a, v)| LOp::Write(t, a, v)),
-        (0..threads).prop_map(LOp::Commit),
-        (0..threads).prop_map(LOp::Tabort),
-        (0..threads).prop_map(LOp::Poll),
-        (0..threads, 0..MEM_WORDS, any::<bool>()).prop_map(|(t, a, w)| LOp::Acquire(t, a, w)),
-        (0..threads, 0..MEM_WORDS, any::<u64>()).prop_map(|(t, o, v)| LOp::Access(t, o, v)),
-        (0..threads, 0..MEM_WORDS, any::<u64>()).prop_map(|(t, o, v)| LOp::Access(t, o, v)),
-        (0..threads).prop_map(LOp::Spurious),
-        any::<bool>().prop_map(LOp::SetPlan),
-    ]
 }
 
 fn op_strategy(threads: usize) -> impl Strategy<Value = Op> {
@@ -105,8 +70,15 @@ fn op_strategy(threads: usize) -> impl Strategy<Value = Op> {
             unbound(r),
             unbound(w)
         )),
+        // Accesses are weighted up (8 of 18 arms) so transactions live
+        // long enough to re-touch memoised lines between kills and plan
+        // installs.
         (0..threads, 0..MEM_WORDS).prop_map(|(t, a)| Op::Read(t, a)),
         (0..threads, 0..MEM_WORDS).prop_map(|(t, a)| Op::Read(t, a)),
+        (0..threads, 0..MEM_WORDS).prop_map(|(t, a)| Op::Read(t, a)),
+        (0..threads, 0..MEM_WORDS).prop_map(|(t, a)| Op::Read(t, a)),
+        (0..threads, 0..MEM_WORDS, any::<u64>()).prop_map(|(t, a, v)| Op::Write(t, a, v)),
+        (0..threads, 0..MEM_WORDS, any::<u64>()).prop_map(|(t, a, v)| Op::Write(t, a, v)),
         (0..threads, 0..MEM_WORDS, any::<u64>()).prop_map(|(t, a, v)| Op::Write(t, a, v)),
         (0..threads, 0..MEM_WORDS, any::<u64>()).prop_map(|(t, a, v)| Op::Write(t, a, v)),
         (0..threads).prop_map(Op::Commit),
@@ -116,11 +88,182 @@ fn op_strategy(threads: usize) -> impl Strategy<Value = Op> {
         (1u64..100).prop_map(Op::Tick),
         (0..threads, 0..MEM_WORDS).prop_map(|(t, a)| Op::Arm(t, a)),
         (0..threads, 0..MEM_WORDS).prop_map(|(t, a)| Op::DoomAll(t, a)),
+        (0..threads).prop_map(Op::Spurious),
+        any::<bool>().prop_map(Op::SetPlan),
     ]
 }
 
+/// Hot address window of the structured tests, in words: 8 lines, so
+/// multi-victim dooms and requester-wins ordering actually occur, or
+/// `2 × MEMO_WAYS` lines, so line-memo way eviction interleaves with them.
+fn hot_window(wide: bool) -> usize {
+    if wide {
+        2 * MEMO_WAYS * HOT_LINE_WORDS
+    } else {
+        32
+    }
+}
+
+/// Drive both implementations through `ops` (addresses folded into the
+/// first `window` words, `SetPlan(true)` installing `plan`) and require
+/// identical results, abort reasons, `in_tx`/footprints, statistics and
+/// fault-draw counts after every op, and identical trace streams and
+/// memory images at the end.
+fn run_structured(threads: usize, window: usize, plan: Option<FaultPlan>, ops: &[Op]) {
+    let mut dut: TxMemory<u64> = TxMemory::new(MEM_WORDS, HOT_LINE_WORDS, threads, 0);
+    let mut reference: ReferenceTxMemory<u64> =
+        ReferenceTxMemory::new(MEM_WORDS, HOT_LINE_WORDS, threads, 0);
+    let live_plan = plan.unwrap_or(FaultPlan {
+        seed: 0x5EED,
+        spurious_rate: 0.10,
+        shrink_rate: 0.05,
+        restricted_rate: 0.05,
+        dirty_read: false,
+    });
+    if let Some(plan) = plan {
+        dut.set_fault_plan(plan);
+        reference.set_fault_plan(plan);
+    }
+    let dut_trace = RingBufferSink::shared(8192);
+    let ref_trace = RingBufferSink::shared(8192);
+    dut.set_trace_sink(Box::new(std::sync::Arc::clone(&dut_trace)));
+    reference.set_trace_sink(Box::new(std::sync::Arc::clone(&ref_trace)));
+
+    let mut now = 0u64;
+    for (i, op) in ops.iter().enumerate() {
+        match *op {
+            Op::Begin(t, r, w) => {
+                let t = t % threads;
+                if !dut.in_tx(t) {
+                    let b = Budgets { read_lines: r, write_lines: w };
+                    prop_assert_eq!(
+                        dut.begin(t, b),
+                        reference.begin(t, b),
+                        "begin diverged at op {}",
+                        i
+                    );
+                }
+            }
+            Op::Read(t, a) => {
+                let (t, a) = (t % threads, a % window);
+                prop_assert_eq!(dut.read(t, a), reference.read(t, a), "read diverged at op {}", i);
+            }
+            Op::Write(t, a, v) => {
+                let (t, a) = (t % threads, a % window);
+                prop_assert_eq!(
+                    dut.write(t, a, v),
+                    reference.write(t, a, v),
+                    "write diverged at op {}",
+                    i
+                );
+            }
+            Op::Commit(t) => {
+                let t = t % threads;
+                if dut.in_tx(t) {
+                    prop_assert_eq!(
+                        dut.commit(t),
+                        reference.commit(t),
+                        "commit diverged at op {}",
+                        i
+                    );
+                }
+            }
+            Op::Tabort(t) => {
+                let t = t % threads;
+                prop_assert_eq!(
+                    dut.tabort(t, 7),
+                    reference.tabort(t, 7),
+                    "tabort diverged at op {}",
+                    i
+                );
+            }
+            Op::Restricted(t) => {
+                let t = t % threads;
+                prop_assert_eq!(
+                    dut.abort_restricted(t),
+                    reference.abort_restricted(t),
+                    "restricted diverged at op {}",
+                    i
+                );
+            }
+            Op::Poll(t) => {
+                let t = t % threads;
+                prop_assert_eq!(
+                    dut.poll_doomed(t),
+                    reference.poll_doomed(t),
+                    "poll diverged at op {}",
+                    i
+                );
+            }
+            Op::Tick(d) => {
+                now += d;
+                dut.set_now(now);
+                reference.set_now(now);
+            }
+            Op::Arm(t, a) => {
+                let (t, a) = (t % threads, a % window);
+                prop_assert_eq!(
+                    dut.arm_lock_monitor(t, a),
+                    reference.arm_lock_monitor(t, a),
+                    "arm diverged at op {}",
+                    i
+                );
+            }
+            Op::DoomAll(t, a) => {
+                let (t, a) = (t % threads, a % window);
+                dut.doom_all_active(t, a);
+                reference.doom_all_active(t, a);
+            }
+            Op::Spurious(t) => {
+                let t = t % threads;
+                prop_assert_eq!(
+                    dut.abort_spurious(t, SpuriousCause::TimerInterrupt),
+                    reference.abort_spurious(t, SpuriousCause::TimerInterrupt),
+                    "spurious kill diverged at op {}",
+                    i
+                );
+            }
+            Op::SetPlan(on) => {
+                let p = if on { live_plan } else { FaultPlan::none() };
+                dut.set_fault_plan(p);
+                reference.set_fault_plan(p);
+            }
+        }
+        for u in 0..threads {
+            prop_assert_eq!(dut.in_tx(u), reference.in_tx(u), "in_tx({}) at op {}", u, i);
+            prop_assert_eq!(
+                dut.footprint(u),
+                reference.footprint(u),
+                "footprint({}) at op {}",
+                u,
+                i
+            );
+        }
+        prop_assert_eq!(
+            dut.active_tx_count(),
+            reference.active_tx_count(),
+            "active count at op {}",
+            i
+        );
+        prop_assert_eq!(dut.stats(), reference.stats(), "stats at op {}", i);
+        prop_assert_eq!(
+            dut.faults_injected(),
+            reference.faults_injected(),
+            "injection streams diverged at op {}",
+            i
+        );
+    }
+
+    let dut_events = dut_trace.lock().unwrap().drain();
+    let ref_events = ref_trace.lock().unwrap().drain();
+    prop_assert_eq!(dut_events, ref_events, "trace streams diverged");
+    for a in 0..MEM_WORDS {
+        prop_assert_eq!(dut.peek(a), reference.peek(a), "memory image at {}", a);
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
     #[test]
     fn directory_matches_reference(
@@ -197,102 +340,27 @@ proptest! {
         }
     }
 
-    /// The reference uses the same interleaving as the ops above but with
-    /// structured `Op` values, biasing toward conflicting accesses in a
-    /// narrow address window so multi-victim dooms and requester-wins
-    /// ordering actually occur.
+    /// The same interleaving with structured `Op` values, biased toward
+    /// conflicting accesses in a hot address window; interrupt kills and
+    /// mid-run plan installs land between memoised accesses.
     #[test]
     fn directory_matches_reference_hot_lines(
         threads in 2usize..6,
+        wide in any::<bool>(),
         ops in proptest::collection::vec(op_strategy(5), 1..200),
     ) {
-        let line_words = 4usize;
-        let mut dut: TxMemory<u64> = TxMemory::new(MEM_WORDS, line_words, threads, 0);
-        let mut reference: ReferenceTxMemory<u64> =
-            ReferenceTxMemory::new(MEM_WORDS, line_words, threads, 0);
-        let dut_trace = RingBufferSink::shared(8192);
-        let ref_trace = RingBufferSink::shared(8192);
-        dut.set_trace_sink(Box::new(std::sync::Arc::clone(&dut_trace)));
-        reference.set_trace_sink(Box::new(std::sync::Arc::clone(&ref_trace)));
-
-        let mut now = 0u64;
-        for (i, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Begin(t, r, w) => {
-                    let t = t % threads;
-                    if !dut.in_tx(t) {
-                        let b = Budgets { read_lines: r, write_lines: w };
-                        prop_assert_eq!(dut.begin(t, b), reference.begin(t, b),
-                            "begin diverged at op {}", i);
-                    }
-                }
-                Op::Read(t, a) => {
-                    let (t, a) = (t % threads, a % 32); // hot window: 8 lines
-                    prop_assert_eq!(dut.read(t, a), reference.read(t, a),
-                        "read diverged at op {}", i);
-                }
-                Op::Write(t, a, v) => {
-                    let (t, a) = (t % threads, a % 32);
-                    prop_assert_eq!(dut.write(t, a, v), reference.write(t, a, v),
-                        "write diverged at op {}", i);
-                }
-                Op::Commit(t) => {
-                    let t = t % threads;
-                    if dut.in_tx(t) {
-                        prop_assert_eq!(dut.commit(t), reference.commit(t),
-                            "commit diverged at op {}", i);
-                    }
-                }
-                Op::Tabort(t) => {
-                    let t = t % threads;
-                    prop_assert_eq!(dut.tabort(t, 7), reference.tabort(t, 7),
-                        "tabort diverged at op {}", i);
-                }
-                Op::Restricted(t) => {
-                    let t = t % threads;
-                    prop_assert_eq!(dut.abort_restricted(t), reference.abort_restricted(t),
-                        "restricted diverged at op {}", i);
-                }
-                Op::Poll(t) => {
-                    let t = t % threads;
-                    prop_assert_eq!(dut.poll_doomed(t), reference.poll_doomed(t),
-                        "poll diverged at op {}", i);
-                }
-                Op::Tick(d) => {
-                    now += d;
-                    dut.set_now(now);
-                    reference.set_now(now);
-                }
-                Op::Arm(t, a) => {
-                    let (t, a) = (t % threads, a % 32);
-                    prop_assert_eq!(
-                        dut.arm_lock_monitor(t, a), reference.arm_lock_monitor(t, a),
-                        "arm diverged at op {}", i);
-                }
-                Op::DoomAll(t, a) => {
-                    let (t, a) = (t % threads, a % 32);
-                    dut.doom_all_active(t, a);
-                    reference.doom_all_active(t, a);
-                }
-            }
-            prop_assert_eq!(dut.stats(), reference.stats(), "stats at op {}", i);
-        }
-
-        let dut_events = dut_trace.lock().unwrap().drain();
-        let ref_events = ref_trace.lock().unwrap().drain();
-        prop_assert_eq!(dut_events, ref_events, "trace streams diverged");
-        for a in 0..MEM_WORDS {
-            prop_assert_eq!(dut.peek(a), reference.peek(a), "memory image at {}", a);
-        }
+        run_structured(threads, hot_window(wide), None, &ops);
     }
 
     /// The same hot-line interleaving with the fault injector enabled on
-    /// **both** implementations: spurious aborts, mid-transaction budget
-    /// shrinks and forced restricted ops must fire at the same accesses,
-    /// attribute the same reasons, and leave identical memory images.
+    /// **both** implementations from the start: spurious aborts,
+    /// mid-transaction budget shrinks and forced restricted ops must fire
+    /// at the same accesses, attribute the same reasons, and leave
+    /// identical memory images.
     #[test]
     fn directory_matches_reference_with_fault_injection(
         threads in 2usize..6,
+        wide in any::<bool>(),
         seed in any::<u64>(),
         spurious_pct in 0u32..31,
         shrink_pct in 0u32..16,
@@ -304,239 +372,8 @@ proptest! {
             spurious_rate: f64::from(spurious_pct) / 100.0,
             shrink_rate: f64::from(shrink_pct) / 100.0,
             restricted_rate: f64::from(restricted_pct) / 100.0,
+            dirty_read: false,
         };
-        let line_words = 4usize;
-        let mut dut: TxMemory<u64> = TxMemory::new(MEM_WORDS, line_words, threads, 0);
-        let mut reference: ReferenceTxMemory<u64> =
-            ReferenceTxMemory::new(MEM_WORDS, line_words, threads, 0);
-        dut.set_fault_plan(plan);
-        reference.set_fault_plan(plan);
-        let dut_trace = RingBufferSink::shared(8192);
-        let ref_trace = RingBufferSink::shared(8192);
-        dut.set_trace_sink(Box::new(std::sync::Arc::clone(&dut_trace)));
-        reference.set_trace_sink(Box::new(std::sync::Arc::clone(&ref_trace)));
-
-        for (i, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Begin(t, r, w) => {
-                    let t = t % threads;
-                    if !dut.in_tx(t) {
-                        let b = Budgets { read_lines: r, write_lines: w };
-                        prop_assert_eq!(dut.begin(t, b), reference.begin(t, b),
-                            "begin diverged at op {}", i);
-                    }
-                }
-                Op::Read(t, a) => {
-                    let (t, a) = (t % threads, a % 32);
-                    prop_assert_eq!(dut.read(t, a), reference.read(t, a),
-                        "read diverged at op {}", i);
-                }
-                Op::Write(t, a, v) => {
-                    let (t, a) = (t % threads, a % 32);
-                    prop_assert_eq!(dut.write(t, a, v), reference.write(t, a, v),
-                        "write diverged at op {}", i);
-                }
-                Op::Commit(t) => {
-                    let t = t % threads;
-                    if dut.in_tx(t) {
-                        prop_assert_eq!(dut.commit(t), reference.commit(t),
-                            "commit diverged at op {}", i);
-                    }
-                }
-                Op::Tabort(t) => {
-                    let t = t % threads;
-                    prop_assert_eq!(dut.tabort(t, 7), reference.tabort(t, 7),
-                        "tabort diverged at op {}", i);
-                }
-                Op::Restricted(t) => {
-                    let t = t % threads;
-                    prop_assert_eq!(dut.abort_restricted(t), reference.abort_restricted(t),
-                        "restricted diverged at op {}", i);
-                }
-                Op::Poll(t) => {
-                    let t = t % threads;
-                    prop_assert_eq!(dut.poll_doomed(t), reference.poll_doomed(t),
-                        "poll diverged at op {}", i);
-                }
-                Op::Tick(d) => {
-                    dut.set_now(d);
-                    reference.set_now(d);
-                }
-                Op::Arm(t, a) => {
-                    let (t, a) = (t % threads, a % 32);
-                    prop_assert_eq!(
-                        dut.arm_lock_monitor(t, a), reference.arm_lock_monitor(t, a),
-                        "arm diverged at op {}", i);
-                }
-                Op::DoomAll(t, a) => {
-                    let (t, a) = (t % threads, a % 32);
-                    dut.doom_all_active(t, a);
-                    reference.doom_all_active(t, a);
-                }
-            }
-            for u in 0..threads {
-                prop_assert_eq!(dut.in_tx(u), reference.in_tx(u), "in_tx({}) at op {}", u, i);
-                prop_assert_eq!(dut.footprint(u), reference.footprint(u),
-                    "footprint({}) at op {}", u, i);
-            }
-            prop_assert_eq!(dut.stats(), reference.stats(), "stats at op {}", i);
-            prop_assert_eq!(dut.faults_injected(), reference.faults_injected(),
-                "injection streams diverged at op {}", i);
-        }
-
-        let dut_events = dut_trace.lock().unwrap().drain();
-        let ref_events = ref_trace.lock().unwrap().drain();
-        prop_assert_eq!(dut_events, ref_events, "trace streams diverged");
-        for a in 0..MEM_WORDS {
-            prop_assert_eq!(dut.peek(a), reference.peek(a), "memory image at {}", a);
-        }
-    }
-
-    /// Lease differential: the directory impl serving accesses through
-    /// epoch-validated line leases (batched direct path, span undo) must be
-    /// observationally identical to the reference serving the *same* lease
-    /// operations through its degenerate per-word fallback — across
-    /// interleaved transactions, dooms, mid-lease aborts, interrupt kills,
-    /// and fault-plan toggles. Compared per op: results, abort reasons,
-    /// `in_tx`/footprints, fault-draw counts, and the full stats struct
-    /// with only `lease_hits` masked (the fallback never hits); compared at
-    /// the end: trace streams and the byte-exact memory image.
-    #[test]
-    fn leases_match_reference_degenerate_fallback(
-        threads in 2usize..6,
-        seed in any::<u64>(),
-        ops in proptest::collection::vec(lease_op_strategy(5), 1..250),
-    ) {
-        let line_words = 4usize;
-        let mut dut: TxMemory<u64> = TxMemory::new(MEM_WORDS, line_words, threads, 0);
-        let mut reference: ReferenceTxMemory<u64> =
-            ReferenceTxMemory::new(MEM_WORDS, line_words, threads, 0);
-        let dut_trace = RingBufferSink::shared(8192);
-        let ref_trace = RingBufferSink::shared(8192);
-        dut.set_trace_sink(Box::new(std::sync::Arc::clone(&dut_trace)));
-        reference.set_trace_sink(Box::new(std::sync::Arc::clone(&ref_trace)));
-
-        // One held (directory lease, reference lease) pair per thread.
-        let mut held: Vec<Option<(LineLease, LineLease)>> = vec![None; threads];
-        for (i, op) in ops.iter().enumerate() {
-            match *op {
-                LOp::Begin(t, r, w) => {
-                    let t = t % threads;
-                    if !dut.in_tx(t) {
-                        let b = Budgets { read_lines: r, write_lines: w };
-                        prop_assert_eq!(dut.begin(t, b), reference.begin(t, b),
-                            "begin diverged at op {}", i);
-                    }
-                }
-                LOp::Read(t, a) => {
-                    let (t, a) = (t % threads, a % 32);
-                    prop_assert_eq!(dut.read(t, a), reference.read(t, a),
-                        "read diverged at op {}", i);
-                }
-                LOp::Write(t, a, v) => {
-                    let (t, a) = (t % threads, a % 32);
-                    prop_assert_eq!(dut.write(t, a, v), reference.write(t, a, v),
-                        "write diverged at op {}", i);
-                }
-                LOp::Commit(t) => {
-                    let t = t % threads;
-                    if dut.in_tx(t) {
-                        prop_assert_eq!(dut.commit(t), reference.commit(t),
-                            "commit diverged at op {}", i);
-                    }
-                }
-                LOp::Tabort(t) => {
-                    let t = t % threads;
-                    prop_assert_eq!(dut.tabort(t, 7), reference.tabort(t, 7),
-                        "tabort diverged at op {}", i);
-                }
-                LOp::Poll(t) => {
-                    let t = t % threads;
-                    prop_assert_eq!(dut.poll_doomed(t), reference.poll_doomed(t),
-                        "poll diverged at op {}", i);
-                }
-                LOp::Acquire(t, a, write) => {
-                    let (t, a) = (t % threads, a % 32);
-                    let d = dut.try_lease(t, a, write);
-                    let r = reference.try_lease(t, a, write);
-                    prop_assert!(!reference.lease_valid(&r),
-                        "reference must never grant a lease (op {})", i);
-                    held[t] = Some((d, r));
-                }
-                LOp::Access(t, off, v) => {
-                    let t = t % threads;
-                    let Some((d, r)) = held[t] else { continue };
-                    if dut.lease_valid(&d) {
-                        let a = d.start + off % (d.end - d.start);
-                        if d.write {
-                            dut.lease_write(&d, a, v);
-                            reference.lease_write(&r, a, v);
-                        } else {
-                            prop_assert_eq!(
-                                dut.lease_read(&d, a), reference.lease_read(&r, a),
-                                "leased read diverged at op {}", i);
-                        }
-                    } else {
-                        // Stale token: the interpreter falls back to the
-                        // full per-word path on both sides.
-                        let a = if d.end > d.start {
-                            d.start + off % (d.end - d.start)
-                        } else {
-                            off % 32
-                        };
-                        if d.write {
-                            prop_assert_eq!(dut.write(t, a, v), reference.write(t, a, v),
-                                "post-lease write diverged at op {}", i);
-                        } else {
-                            prop_assert_eq!(dut.read(t, a), reference.read(t, a),
-                                "post-lease read diverged at op {}", i);
-                        }
-                    }
-                }
-                LOp::Spurious(t) => {
-                    let t = t % threads;
-                    prop_assert_eq!(
-                        dut.abort_spurious(t, htm_sim::SpuriousCause::TimerInterrupt),
-                        reference.abort_spurious(t, htm_sim::SpuriousCause::TimerInterrupt),
-                        "spurious kill diverged at op {}", i);
-                }
-                LOp::SetPlan(on) => {
-                    let plan = if on {
-                        FaultPlan {
-                            seed,
-                            spurious_rate: 0.10,
-                            shrink_rate: 0.05,
-                            restricted_rate: 0.05,
-                        }
-                    } else {
-                        FaultPlan::none()
-                    };
-                    dut.set_fault_plan(plan);
-                    reference.set_fault_plan(plan);
-                }
-            }
-            for u in 0..threads {
-                prop_assert_eq!(dut.in_tx(u), reference.in_tx(u), "in_tx({}) at op {}", u, i);
-                prop_assert_eq!(dut.footprint(u), reference.footprint(u),
-                    "footprint({}) at op {}", u, i);
-            }
-            // Settle the directory impl's batched counters, then compare
-            // every stats field except lease_hits (zero in the fallback).
-            dut.flush_lease_stats();
-            let mut ds = dut.stats().clone();
-            let mut rs = reference.stats().clone();
-            ds.lease_hits = 0;
-            rs.lease_hits = 0;
-            prop_assert_eq!(ds, rs, "stats at op {}", i);
-            prop_assert_eq!(dut.faults_injected(), reference.faults_injected(),
-                "injection streams diverged at op {}", i);
-        }
-
-        let dut_events = dut_trace.lock().unwrap().drain();
-        let ref_events = ref_trace.lock().unwrap().drain();
-        prop_assert_eq!(dut_events, ref_events, "trace streams diverged");
-        for a in 0..MEM_WORDS {
-            prop_assert_eq!(dut.peek(a), reference.peek(a), "memory image at {}", a);
-        }
+        run_structured(threads, hot_window(wide), Some(plan), &ops);
     }
 }

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use htm_sim::{AbortReason, LineLease, TxMemory};
+use htm_sim::{AbortReason, TxMemory};
 use machine_sim::{MachineProfile, ThreadId};
 
 use crate::bytecode::IseqId;
@@ -59,11 +59,8 @@ pub struct VmConfig {
     /// Seed of the deterministic connection-latency model behind
     /// `Kernel#conn_wait` (task-server scenario).
     pub conn_seed: u64,
-    /// Disable the line-lease batched access path: every `Vm::rd`/`Vm::wr`
-    /// goes through the full per-word `TxMemory` accounting. Also settable
-    /// via `HTMGIL_FORCE_WORD_ACCESS=1`. The leased and per-word paths
-    /// must be observationally identical — CI diffs figure reports across
-    /// the two.
+    /// No effect; kept so `perfbench/` builds; drop in the next benchmark
+    /// revision.
     pub force_word_access: bool,
 }
 
@@ -258,30 +255,6 @@ pub struct CoreClasses {
     pub main_obj: Addr,
 }
 
-/// Ways in the per-thread lease cache, direct-mapped by cache-line number.
-/// Four cover the hot working set of a step — the frame-locals line, the
-/// operand-stack top line, and an inline-cache or ivar line — without
-/// making the lookup more than an index-and-compare.
-const LEASE_WAYS: usize = 4;
-const LEASE_MASK: usize = LEASE_WAYS - 1;
-
-/// One lease-cache way: the read and write leases a thread holds for one
-/// line. The modes are separate tokens because `TxMemory` accounts read
-/// and write footprints independently (a write lease must not serve
-/// reads, or the read set would stop growing where the per-word path
-/// grows it).
-#[derive(Debug, Clone, Copy)]
-pub struct LeasePair {
-    rd: LineLease,
-    wr: LineLease,
-}
-
-impl Default for LeasePair {
-    fn default() -> Self {
-        LeasePair { rd: LineLease::INVALID, wr: LineLease::INVALID }
-    }
-}
-
 /// The virtual machine.
 pub struct Vm {
     pub mem: TxMemory<Word>,
@@ -352,19 +325,6 @@ pub struct Vm {
     /// like marks and wakes: published at commit, dropped on abort (the
     /// method-table words themselves roll back via the undo log).
     pub pending_method_bumps: u32,
-    /// Per-thread line-lease cache ([`LEASE_WAYS`] ways, direct-mapped by
-    /// line number). Stale entries are harmless — validity is re-checked
-    /// against the memory's epoch on every use.
-    pub(crate) lease_cache: Vec<[LeasePair; LEASE_WAYS]>,
-    /// Dedicated per-thread lease pair for runtime-level words (yield
-    /// counter, interrupt flag — the thread-struct line), kept out of the
-    /// way cache so per-instruction counter traffic cannot thrash the
-    /// interpreter's hot lines.
-    pub(crate) runtime_leases: Vec<LeasePair>,
-    /// False when the batched lease path is disabled (config flag,
-    /// `HTMGIL_FORCE_WORD_ACCESS`, or `refcount_writes` — whose extra
-    /// traffic per store needs the full path anyway).
-    pub(crate) use_leases: bool,
 }
 
 impl Vm {
@@ -426,12 +386,6 @@ impl Vm {
         let attribution = crate::layout::AttributionMap::from_layout(&layout);
         let config_slots = config.heap_slots;
         let conn_seed = config.conn_seed;
-        let force_word_access = config.force_word_access
-            || std::env::var_os("HTMGIL_FORCE_WORD_ACCESS")
-                .is_some_and(|v| v != "0" && !v.is_empty());
-        let use_leases = !force_word_access && !config.refcount_writes;
-        let lease_cache = vec![[LeasePair::default(); LEASE_WAYS]; config.max_threads];
-        let runtime_leases = vec![LeasePair::default(); config.max_threads];
         let mut vm = Vm {
             mem,
             layout,
@@ -462,9 +416,6 @@ impl Vm {
             pending_marks: Vec::new(),
             method_version: 0,
             pending_method_bumps: 0,
-            lease_cache,
-            runtime_leases,
-            use_leases,
         };
         vm.init_memory();
         vm.bootstrap_classes();
@@ -618,44 +569,22 @@ impl Vm {
 
     // ---- memory access helpers (count refs for cycle charging) ----------
     //
-    // Every interpreter word access — both dispatch paths, all opcodes —
-    // funnels through `rd`/`wr`/`rd_int`. `step_mem_refs` is counted here
-    // at the wrapper level, identically on the leased and per-word paths,
-    // so simulated cycle charges (and with them every figure golden) are
-    // byte-identical whichever path serves the access.
+    // Every interpreter word access funnels through `rd`/`wr`/`rd_int`,
+    // which count `step_mem_refs` for the executor's cycle charges and
+    // hand the access to `TxMemory::read_with`/`write` — the one access
+    // path, whose line memo serves repeated same-line accesses.
 
     #[inline]
     pub fn rd(&mut self, t: ThreadId, addr: Addr) -> Result<Word, VmAbort> {
         self.step_mem_refs += 1;
-        if self.use_leases {
-            let way = self.mem.line_of(addr) & LEASE_MASK;
-            let lease = self.lease_cache[t][way].rd;
-            if self.mem.lease_valid(&lease) && lease.covers(addr) {
-                return Ok(self.mem.lease_read(&lease, addr));
-            }
-            let w = self.mem.read(t, addr)?;
-            self.lease_cache[t][way].rd = self.mem.try_lease(t, addr, false);
-            return Ok(w);
-        }
         Ok(self.mem.read(t, addr)?)
     }
 
     /// [`Self::rd`] without the `step_mem_refs` charge — for runtime-level
     /// accesses (yield counters, interrupt flags) whose cycle cost the
-    /// executor charges explicitly. Still leased — through the dedicated
-    /// runtime pair, so per-instruction counter traffic cannot thrash the
-    /// interpreter's way cache — and still one counted statistics access.
+    /// executor charges explicitly. Still one counted statistics access.
     #[inline]
     pub fn rd_untimed(&mut self, t: ThreadId, addr: Addr) -> Result<Word, AbortReason> {
-        if self.use_leases {
-            let lease = self.runtime_leases[t].rd;
-            if self.mem.lease_valid(&lease) && lease.covers(addr) {
-                return Ok(self.mem.lease_read(&lease, addr));
-            }
-            let w = self.mem.read(t, addr)?;
-            self.runtime_leases[t].rd = self.mem.try_lease(t, addr, false);
-            return Ok(w);
-        }
         self.mem.read(t, addr)
     }
 
@@ -665,33 +594,18 @@ impl Vm {
     /// `(Int, Int)` fast lane without cloning through the generic path.
     #[inline]
     pub fn rd_int(&mut self, t: ThreadId, addr: Addr) -> Result<Result<i64, Word>, VmAbort> {
-        #[inline(always)]
-        fn probe(w: &Word) -> Result<i64, Word> {
-            match w {
-                Word::Int(i) => Ok(*i),
-                other => Err(other.clone()),
-            }
-        }
         self.step_mem_refs += 1;
-        if self.use_leases {
-            let way = self.mem.line_of(addr) & LEASE_MASK;
-            let lease = self.lease_cache[t][way].rd;
-            if self.mem.lease_valid(&lease) && lease.covers(addr) {
-                return Ok(self.mem.lease_read_with(&lease, addr, probe));
-            }
-            let r = self.mem.read_with(t, addr, probe)?;
-            self.lease_cache[t][way].rd = self.mem.try_lease(t, addr, false);
-            return Ok(r);
-        }
-        Ok(self.mem.read_with(t, addr, probe)?)
+        Ok(self.mem.read_with(t, addr, |w| match w {
+            Word::Int(i) => Ok(*i),
+            other => Err(other.clone()),
+        })?)
     }
 
     #[inline]
     pub fn wr(&mut self, t: ThreadId, addr: Addr, w: Word) -> Result<(), VmAbort> {
         if self.config.refcount_writes {
             // CPython-style: a store of an object reference also touches
-            // the referents' count words (see `extensions`). This traffic
-            // forces `use_leases` off, so the plain path below serves it.
+            // the referents' count words (see `extensions`).
             let old = {
                 self.step_mem_refs += 1;
                 self.mem.read(t, addr)?
@@ -701,17 +615,6 @@ impl Vm {
             }
         }
         self.step_mem_refs += 1;
-        if self.use_leases {
-            let way = self.mem.line_of(addr) & LEASE_MASK;
-            let lease = self.lease_cache[t][way].wr;
-            if self.mem.lease_valid(&lease) && lease.covers(addr) {
-                self.mem.lease_write(&lease, addr, w);
-                return Ok(());
-            }
-            self.mem.write(t, addr, w)?;
-            self.lease_cache[t][way].wr = self.mem.try_lease(t, addr, true);
-            return Ok(());
-        }
         Ok(self.mem.write(t, addr, w)?)
     }
 
@@ -720,16 +623,6 @@ impl Vm {
     /// in) — the write-side companion of [`Self::rd_untimed`].
     #[inline]
     pub fn wr_untimed(&mut self, t: ThreadId, addr: Addr, w: Word) -> Result<(), AbortReason> {
-        if self.use_leases {
-            let lease = self.runtime_leases[t].wr;
-            if self.mem.lease_valid(&lease) && lease.covers(addr) {
-                self.mem.lease_write(&lease, addr, w);
-                return Ok(());
-            }
-            self.mem.write(t, addr, w)?;
-            self.runtime_leases[t].wr = self.mem.try_lease(t, addr, true);
-            return Ok(());
-        }
         self.mem.write(t, addr, w)
     }
 

@@ -206,6 +206,7 @@ fn chaos_point_at_25_percent_exercises_escrowed_cache_fills() {
         spurious_rate: 0.25,
         shrink_rate: 0.05,
         restricted_rate: 0.0,
+        dirty_read: false,
     });
     cfg.interrupt_interval = 50_000;
     cfg.watchdog = WatchdogConstants::enabled();

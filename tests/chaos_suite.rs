@@ -34,6 +34,7 @@ fn chaos_cfg(rate: f64, shrink: f64, restricted: f64, interrupt: u64) -> ExecCon
         spurious_rate: rate,
         shrink_rate: shrink,
         restricted_rate: restricted,
+        dirty_read: false,
     });
     cfg.interrupt_interval = interrupt;
     cfg.watchdog = WatchdogConstants::enabled();
@@ -214,8 +215,7 @@ fn constrained_profile_chaos_point_converges_and_matches_the_oracle() {
     // killed before the tiny sets even fill), the watchdog escalates and
     // parks speculation, and the run still finishes on the oracle.
     let mut chaos = ExecConfig::new(RuntimeMode::Htm { length: LengthPolicy::Dynamic }, &p);
-    chaos.fault_plan =
-        Some(FaultPlan { seed: SEED, spurious_rate: 0.1, shrink_rate: 0.0, restricted_rate: 0.0 });
+    chaos.fault_plan = Some(FaultPlan::spurious(SEED, 0.1));
     chaos.watchdog = WatchdogConstants::enabled();
     let v = check_against_gil(GLOBALS_SRC, VmConfig::default(), p, chaos)
         .expect("constrained chaos run failed");

@@ -13,11 +13,11 @@
 //!    clean with the bug off, forever — a regression in either direction
 //!    (the bug stops being observable, or the fixed semantics regress)
 //!    fails this file.
-//! 3. **Hand-written stress paths**: flip-heavy paths aimed at the PR 6
-//!    escrowed-wake machinery and the PR 8 lease-epoch/doom windows,
+//! 3. **Hand-written stress paths**: flip-heavy paths aimed at the
+//!    escrowed-wake machinery and the interrupt-kill/doom windows,
 //!    replayed under GIL, HTM-16 and HTM-dynamic; the oracle must hold
-//!    and the windows must actually be exercised (spurious aborts and
-//!    epoch bumps observed).
+//!    and the windows must actually be exercised (spurious aborts
+//!    observed).
 
 use bench::explore::{
     bug_demo_target, clean_targets, dfs, lazy_sub_clean_targets, lazy_sub_demo_target,
@@ -155,9 +155,10 @@ fn pinned_lazy_counterexample_is_clean_under_eager_and_lazy_guarded() {
 /// Flip-heavy hand-written paths across the whole clean corpus (every
 /// mode: GIL, HTM-16, HTM-dynamic, plus the wake-herd): the oracle must
 /// hold on all of them. The interrupt flips (`I`/`C` decisions) land in
-/// the PR 6 escrowed-wake windows (transactions killed while holding
-/// VM-level mutexes, forcing the escrow/abort paths) and the PR 8
-/// lease-epoch windows (every kill bumps the lease epoch mid-lease).
+/// the escrowed-wake windows (transactions killed while holding
+/// VM-level mutexes, forcing the escrow/abort paths) and between
+/// memoised accesses of an open transaction (every kill clears the
+/// victim's line memo).
 #[test]
 fn hand_written_stress_paths_hold_across_modes() {
     let paths = [
@@ -185,9 +186,9 @@ fn hand_written_stress_paths_hold_across_modes() {
 
 /// The interrupt-kill windows are actually exercised by the flip paths:
 /// under HTM the `I`/`C` kills surface as spurious (timer-interrupt)
-/// aborts, and every kill bumps the lease epoch.
+/// aborts.
 #[test]
-fn stress_paths_exercise_the_interrupt_and_lease_windows() {
+fn stress_paths_exercise_the_interrupt_windows() {
     let target = clean_targets(true)
         .into_iter()
         .find(|t| t.id == "mutex-counter/htm16")
@@ -201,7 +202,6 @@ fn stress_paths_exercise_the_interrupt_and_lease_windows() {
         report.htm.spurious > 0,
         "no interrupt kill landed: the I/C decision windows were not exercised"
     );
-    assert!(report.htm.epoch_bumps > 0, "lease-epoch window not exercised");
     assert!(run.preemptions > 0, "no deviation was consumed");
 }
 
