@@ -23,6 +23,10 @@
 //! the tail of a wave, and `--stop-first` uses the pruned pool map —
 //! so stats and violations are identical at any pool size.
 //!
+//! Each search boots its target once: the calling thread replays every
+//! path it runs, the oracle and the shrinker included, through one
+//! `Replayer`, and every other pool worker through its own.
+//!
 //! A violating path is minimized by the core shrinker and packaged as a
 //! self-contained repro artifact (`htm-gil-explore-repro/v1`: source,
 //! config, hex path, trail, mismatch) ready to pin under
@@ -30,9 +34,7 @@
 
 use std::collections::HashSet;
 
-use htm_gil_core::explore::{
-    check_path, gil_expected, mismatch_of, run_path, shrink, Expected, ExploreTarget,
-};
+use htm_gil_core::explore::{mismatch_of, Expected, ExploreTarget, Replayer};
 use htm_gil_core::{Json, LengthPolicy, RuntimeMode, SubscriptionPolicy};
 use machine_sim::{MachineProfile, SchedPath};
 
@@ -408,13 +410,13 @@ pub fn lazy_sub_clean_targets(quick: bool) -> Vec<ExploreTarget> {
 
 /// Minimize a violating path and package the counterexample.
 fn minimize(
-    target: &ExploreTarget,
+    replayer: &mut Replayer,
     expected: &Expected,
     found: &SchedPath,
     shrink_budget: u64,
 ) -> ViolationRecord {
-    let result = shrink(target, expected, found, shrink_budget);
-    let run = run_path(target, &result.path);
+    let result = replayer.shrink(expected, found, shrink_budget);
+    let run = replayer.run_path(&result.path);
     let mismatch =
         mismatch_of(expected, &run).unwrap_or_else(|| "shrunk path no longer violates".into());
     let trail = {
@@ -428,6 +430,7 @@ fn minimize(
         }
         s
     };
+    let target = replayer.target();
     ViolationRecord {
         target_id: target.id.clone(),
         mode_label: target.mode.label(),
@@ -445,7 +448,7 @@ fn minimize(
 /// taken, arities)` trails for expansion. Deterministic at any `jobs`.
 #[allow(clippy::too_many_arguments)]
 fn run_wave(
-    target: &ExploreTarget,
+    replayer: &mut Replayer,
     expected: &Expected,
     wave: &[SchedPath],
     params: &SearchParams,
@@ -453,12 +456,15 @@ fn run_wave(
     stats: &mut TargetStats,
     violations: &mut Vec<ViolationRecord>,
 ) -> Vec<(SchedPath, usize, Vec<u8>, Vec<u8>)> {
+    let target = replayer.target();
     let results = pool::try_map_ordered_pruned(
         jobs,
         wave,
         |p| p.to_hex(),
-        |_, path| {
-            let out = check_path(target, expected, path);
+        replayer,
+        || Replayer::new(target),
+        |replayer, _, path| {
+            let out = replayer.check_path(expected, path);
             if params.stop_first && out.1.is_some() {
                 PointOutcome::Prune(out)
             } else {
@@ -477,7 +483,7 @@ fn run_wave(
         stats.max_preemptions = stats.max_preemptions.max(run.preemptions);
         if mismatch.is_some() {
             stats.violations += 1;
-            let v = minimize(target, expected, path, params.shrink_budget);
+            let v = minimize(replayer, expected, path, params.shrink_budget);
             let len = v.minimized.len() as u64;
             stats.min_repro_len = Some(stats.min_repro_len.map_or(len, |m| m.min(len)));
             violations.push(v);
@@ -491,7 +497,8 @@ fn run_wave(
 /// Bounded DFS over the schedule tree (see the module docs for the
 /// wave/preemption-bound equivalence).
 pub fn dfs(target: &ExploreTarget, params: &SearchParams, jobs: usize) -> ExploreOutcome {
-    let expected = gil_expected(target);
+    let mut replayer = Replayer::new(target);
+    let expected = replayer.gil_expected();
     let mut stats = TargetStats::new(target);
     let mut violations = Vec::new();
     let mut visited: HashSet<Vec<u8>> = HashSet::new();
@@ -503,7 +510,8 @@ pub fn dfs(target: &ExploreTarget, params: &SearchParams, jobs: usize) -> Explor
             stats.dropped_by_budget += (wave.len() - room) as u64;
             wave.truncate(room);
         }
-        let clean = run_wave(target, &expected, &wave, params, jobs, &mut stats, &mut violations);
+        let clean =
+            run_wave(&mut replayer, &expected, &wave, params, jobs, &mut stats, &mut violations);
         if params.stop_first && !violations.is_empty() {
             break;
         }
@@ -540,7 +548,8 @@ pub fn random_walks(
     walk: &WalkParams,
     jobs: usize,
 ) -> ExploreOutcome {
-    let expected = gil_expected(target);
+    let mut replayer = Replayer::new(target);
+    let expected = replayer.gil_expected();
     let mut stats = TargetStats::new(target);
     let mut violations = Vec::new();
     let mut state = walk.seed | 1;
@@ -574,7 +583,7 @@ pub fn random_walks(
             wave.push(p);
         }
     }
-    run_wave(target, &expected, &wave, params, jobs, &mut stats, &mut violations);
+    run_wave(&mut replayer, &expected, &wave, params, jobs, &mut stats, &mut violations);
     ExploreOutcome { stats, violations }
 }
 
@@ -686,13 +695,13 @@ mod tests {
         let v = &out.violations[0];
         assert!(v.minimized.len() <= 8, "minimized to ≤8 branches, got {}", v.minimized.len());
         // Pinned-replay round trip: the minimized path still violates.
-        let expected = gil_expected(&t);
-        let (_, mismatch) = check_path(&t, &expected, &v.minimized);
+        let expected = htm_gil_core::gil_expected(&t);
+        let (_, mismatch) = htm_gil_core::check_path(&t, &expected, &v.minimized);
         assert!(mismatch.is_some(), "minimized path must still violate");
         // And with the bug off, the very same path is clean.
         let clean = torn_pair_clean_target(true);
-        let clean_expected = gil_expected(&clean);
-        let (_, m2) = check_path(&clean, &clean_expected, &v.minimized);
+        let clean_expected = htm_gil_core::gil_expected(&clean);
+        let (_, m2) = htm_gil_core::check_path(&clean, &clean_expected, &v.minimized);
         assert!(m2.is_none(), "bug off, same path: {}", m2.unwrap());
     }
 }

@@ -65,60 +65,16 @@ where
     P: Sync,
     R: Send,
 {
-    if points.is_empty() {
-        return Ok(Vec::new());
-    }
-    let jobs = jobs.clamp(1, points.len());
-    let slots: Vec<Mutex<Option<Result<R, String>>>> =
-        points.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let cancelled = AtomicBool::new(false);
-    let worker = || {
-        loop {
-            if cancelled.load(Ordering::Relaxed) {
-                break;
-            }
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= points.len() {
-                break;
-            }
-            let out = catch_unwind(AssertUnwindSafe(|| run(i, &points[i])));
-            let out = out.map_err(|p| {
-                cancelled.store(true, Ordering::Relaxed);
-                // `&*p`: downcast the payload itself, not the box around it.
-                payload_text(&*p)
-            });
-            *slots[i].lock().expect("result slot") = Some(out);
-            on_done(done.fetch_add(1, Ordering::Relaxed) + 1, i);
-        }
-    };
-    if jobs == 1 {
-        worker();
-    } else {
-        std::thread::scope(|s| {
-            for n in 0..jobs {
-                std::thread::Builder::new()
-                    .name(format!("simpool-{n}"))
-                    .spawn_scoped(s, worker)
-                    .expect("spawn pool worker");
-            }
-        });
-    }
-    let mut out = Vec::with_capacity(points.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().expect("result slot") {
-            Some(Ok(r)) => out.push(r),
-            Some(Err(payload)) => {
-                return Err(SweepError { index: i, label: label(&points[i]), payload });
-            }
-            // Only reachable after a cancellation: a later point was
-            // never started. The failure that caused it sits at a lower
-            // index and was returned above.
-            None => unreachable!("unstarted point before any failure"),
-        }
-    }
-    Ok(out)
+    let out = try_map_ordered_pruned(
+        jobs,
+        points,
+        label,
+        &mut (),
+        || (),
+        |_, i, p| PointOutcome::Continue(run(i, p)),
+        on_done,
+    )?;
+    Ok(out.into_iter().map(|r| r.expect("no prune: every point ran")).collect())
 }
 
 /// Verdict of one point under [`try_map_ordered_pruned`].
@@ -132,25 +88,34 @@ pub enum PointOutcome<R> {
     Prune(R),
 }
 
-/// [`try_map_ordered`] with early exit: a point may return
-/// [`PointOutcome::Prune`] to cancel the remainder of the sweep while
-/// keeping its own result.
+/// [`try_map_ordered`] with per-worker state and early exit.
 ///
-/// Returns submission-ordered slots: `Some` for every point up to and
-/// including the **lowest-index** pruning point, `None` after it. The
-/// output is pool-size invariant: the queue hands indices out strictly
-/// in submission order and started points run to completion, so every
+/// Each worker hands `run` its own state: the calling thread works as
+/// one of the `jobs` workers on `local`, and every other worker builds
+/// its state with `init` on its own thread when it takes its first
+/// point — so `S` need not be `Send` (a booted VM holds `Rc`s), and
+/// `init` runs at most once per spawned worker. Results must not depend
+/// on which worker's state computed them.
+///
+/// A point may return [`PointOutcome::Prune`] to cancel the remainder
+/// of the sweep while keeping its own result. Returns submission-ordered
+/// slots: `Some` for every point up to and including the
+/// **lowest-index** pruning point, `None` after it. The output is
+/// pool-size invariant: the queue hands indices out strictly in
+/// submission order and started points run to completion, so every
 /// index below the first "event" (panic or prune) has a completed
 /// `Continue` verdict at any pool size — and everything a bigger pool
 /// happens to compute beyond the first prune is dropped, because a
 /// 1-job pool would never have started it. A panic below the first
-/// prune fails the sweep exactly like [`try_map_ordered`]; a panic
-/// above it is discarded with the rest of the over-computation.
-pub fn try_map_ordered_pruned<P, R>(
+/// prune fails the sweep like [`try_map_ordered`]; a panic above it is
+/// discarded with the rest of the over-computation.
+pub fn try_map_ordered_pruned<P, S, R>(
     jobs: usize,
     points: &[P],
     label: impl Fn(&P) -> String + Sync,
-    run: impl Fn(usize, &P) -> PointOutcome<R> + Sync,
+    local: &mut S,
+    init: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, usize, &P) -> PointOutcome<R> + Sync,
     on_done: impl Fn(usize, usize) + Sync,
 ) -> Result<Vec<Option<R>>, SweepError>
 where
@@ -166,7 +131,7 @@ where
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
     let cancelled = AtomicBool::new(false);
-    let worker = || loop {
+    let worker = |run_point: &mut dyn FnMut(usize, &P) -> PointOutcome<R>| loop {
         if cancelled.load(Ordering::Relaxed) {
             break;
         }
@@ -174,7 +139,7 @@ where
         if i >= points.len() {
             break;
         }
-        let out = catch_unwind(AssertUnwindSafe(|| run(i, &points[i])));
+        let out = catch_unwind(AssertUnwindSafe(|| run_point(i, &points[i])));
         let out = match out {
             Ok(PointOutcome::Continue(r)) => Ok((r, false)),
             Ok(PointOutcome::Prune(r)) => {
@@ -183,24 +148,26 @@ where
             }
             Err(p) => {
                 cancelled.store(true, Ordering::Relaxed);
+                // `&*p`: downcast the payload itself, not the box around it.
                 Err(payload_text(&*p))
             }
         };
         *slots[i].lock().expect("result slot") = Some(out);
         on_done(done.fetch_add(1, Ordering::Relaxed) + 1, i);
     };
-    if jobs == 1 {
-        worker();
-    } else {
-        std::thread::scope(|s| {
-            for n in 0..jobs {
-                std::thread::Builder::new()
-                    .name(format!("simpool-{n}"))
-                    .spawn_scoped(s, worker)
-                    .expect("spawn pool worker");
-            }
-        });
-    }
+    std::thread::scope(|s| {
+        for n in 1..jobs {
+            let (worker, init, run) = (&worker, &init, &run);
+            std::thread::Builder::new()
+                .name(format!("simpool-{n}"))
+                .spawn_scoped(s, move || {
+                    let mut state = None;
+                    worker(&mut |i, p| run(state.get_or_insert_with(init), i, p));
+                })
+                .expect("spawn pool worker");
+        }
+        worker(&mut |i, p| run(local, i, p));
+    });
     let mut out: Vec<Option<R>> = Vec::with_capacity(points.len());
     let mut pruned = false;
     for (i, slot) in slots.into_iter().enumerate() {
@@ -307,7 +274,9 @@ mod tests {
                 jobs,
                 &points,
                 |p| p.to_string(),
-                |_, p| {
+                &mut (),
+                || (),
+                |_, _, p| {
                     if *p == 11 {
                         PointOutcome::Prune(p * 2)
                     } else {
@@ -329,7 +298,9 @@ mod tests {
                 jobs,
                 &points,
                 |p| format!("pt-{p}"),
-                |_, p| {
+                &mut (),
+                || (),
+                |_, _, p| {
                     if *p == 5 {
                         panic!("kaboom");
                     }
@@ -356,7 +327,9 @@ mod tests {
                 jobs,
                 &points,
                 |p| p.to_string(),
-                |_, p| {
+                &mut (),
+                || (),
+                |_, _, p| {
                     if *p == 3 {
                         return PointOutcome::Prune(*p);
                     }
@@ -383,7 +356,9 @@ mod tests {
             3,
             &points,
             |p| p.to_string(),
-            |_, p| PointOutcome::Continue(p + 100),
+            &mut (),
+            || (),
+            |_, _, p| PointOutcome::Continue(p + 100),
             |_, _| {},
         )
         .unwrap();

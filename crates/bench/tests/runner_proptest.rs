@@ -13,6 +13,7 @@ use bench::pool::{try_map_ordered_pruned, PointOutcome};
 use bench::runner::try_sweep_with_jobs;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 proptest! {
     /// Results come back 1:1 and in submission order whatever the pool
@@ -99,7 +100,7 @@ proptest! {
             .enumerate()
             .map(|(i, &(fate, delay))| (i, fate < 2, delay))
             .collect();
-        let run = |_: usize, &(i, prunes, d): &(usize, bool, u64)| {
+        let run = |_: &mut (), _: usize, &(i, prunes, d): &(usize, bool, u64)| {
             std::thread::sleep(std::time::Duration::from_micros(d));
             if prunes {
                 PointOutcome::Prune(i * 10)
@@ -117,11 +118,11 @@ proptest! {
         }
         expect.resize(points.len(), None);
         let serial = try_map_ordered_pruned(
-            1, &points, |&(i, _, _)| i.to_string(), run, |_, _| {},
+            1, &points, |&(i, _, _)| i.to_string(), &mut (), || (), run, |_, _| {},
         ).expect("no panics");
         prop_assert_eq!(&serial, &expect);
         let pooled = try_map_ordered_pruned(
-            jobs, &points, |&(i, _, _)| i.to_string(), run, |_, _| {},
+            jobs, &points, |&(i, _, _)| i.to_string(), &mut (), || (), run, |_, _| {},
         ).expect("no panics");
         prop_assert_eq!(&pooled, &expect, "jobs={}", jobs);
     }
@@ -138,7 +139,9 @@ proptest! {
             jobs,
             &points,
             |&(i, _)| i.to_string(),
-            |_, &(i, d)| {
+            &mut (),
+            || (),
+            |_, _, &(i, d)| {
                 std::thread::sleep(std::time::Duration::from_micros(d));
                 PointOutcome::Continue(i)
             },
@@ -147,5 +150,63 @@ proptest! {
         .expect("no panics");
         let want: Vec<Option<usize>> = (0..points.len()).map(Some).collect();
         prop_assert_eq!(out, want, "jobs={}", jobs);
+    }
+
+    /// Per-worker state: the calling thread works on `local`, `init` runs
+    /// at most once per spawned worker and on that worker's own thread,
+    /// and a state that memoises across points (as an explorer's booted
+    /// VM does) changes no output at pool sizes 1–4.
+    #[test]
+    fn per_worker_state_is_built_once_and_changes_no_output(
+        delays_us in vec(0u64..150, 1..40),
+        prune_at in 0usize..60,
+    ) {
+        /// A worker's state: its thread, a running sum it folds every
+        /// point into (outputs must not see it), and an `Rc`, so it is
+        /// not `Send`.
+        struct State {
+            thread: std::thread::ThreadId,
+            folded: u64,
+            _rc: std::rc::Rc<()>,
+        }
+        let points: Vec<(usize, u64)> = delays_us.iter().copied().enumerate().collect();
+        let mut outputs = Vec::new();
+        for jobs in 1..=4 {
+            let inits = AtomicUsize::new(0);
+            let state = || State {
+                thread: std::thread::current().id(),
+                folded: 0,
+                _rc: std::rc::Rc::new(()),
+            };
+            let mut local = state();
+            let out = try_map_ordered_pruned(
+                jobs,
+                &points,
+                |&(i, _)| i.to_string(),
+                &mut local,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    state()
+                },
+                |s, _, &(i, d)| {
+                    assert_eq!(s.thread, std::thread::current().id(), "state left its thread");
+                    std::thread::sleep(std::time::Duration::from_micros(d));
+                    s.folded += d;
+                    if i == prune_at {
+                        PointOutcome::Prune(i * 3)
+                    } else {
+                        PointOutcome::Continue(i * 3)
+                    }
+                },
+                |_, _| {},
+            )
+            .expect("no panics");
+            let inits = inits.into_inner();
+            prop_assert!(inits < jobs.min(points.len()).max(1), "jobs={} inits={}", jobs, inits);
+            outputs.push(out);
+        }
+        for (jobs, out) in outputs.iter().enumerate() {
+            prop_assert_eq!(out, &outputs[0], "jobs={} vs jobs=1", jobs + 1);
+        }
     }
 }

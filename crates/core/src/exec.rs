@@ -214,8 +214,15 @@ impl Executor {
         profile: MachineProfile,
         cfg: ExecConfig,
     ) -> Result<Executor, RunError> {
-        let mut vm =
+        let vm =
             Vm::boot(source, vm_config, &profile).map_err(|e| RunError::Boot(e.to_string()))?;
+        Ok(Executor::from_vm(vm, profile, cfg))
+    }
+
+    /// Prepare a run on an already booted `vm` — fresh from [`Vm::boot`],
+    /// or rewound to a checkpoint of one. The VM stays reachable as
+    /// [`Executor::vm`] after the run.
+    pub fn from_vm(mut vm: Vm, profile: MachineProfile, cfg: ExecConfig) -> Executor {
         // Install the Intel learning predictor per hardware thread.
         if profile.htm.learning_predictor {
             for t in 0..vm.config.max_threads {
@@ -258,7 +265,7 @@ impl Executor {
             YieldPolicy::Original => ruby_vm::bytecode::YP_ORIG,
             YieldPolicy::Extended => ruby_vm::bytecode::YP_EXT,
         };
-        Ok(Executor {
+        Executor {
             vm,
             sched,
             profile,
@@ -281,7 +288,7 @@ impl Executor {
             stalled_steps: 0,
             trace,
             yp_bit,
-        })
+        }
     }
 
     /// Snapshot of the retained trace events (empty when tracing is off).

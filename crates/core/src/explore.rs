@@ -17,10 +17,14 @@
 //! violating path — truncate, zero bytes right-to-left, lower byte
 //! values — while the violation keeps reproducing, yielding the pinned
 //! counterexamples committed to `tests/schedule_regressions.rs`.
+//!
+//! The free functions boot the target for every call. A [`Replayer`]
+//! boots it once and replays every run from a checkpoint of that VM
+//! (DESIGN.md §14): the same runs, byte for byte, without the boot.
 
 use htm_sim::FaultPlan;
 use machine_sim::{MachineProfile, SchedPath};
-use ruby_vm::VmConfig;
+use ruby_vm::{Vm, VmCheckpoint, VmConfig};
 
 use crate::config::{ExecConfig, RuntimeMode};
 use crate::exec::Executor;
@@ -74,6 +78,13 @@ impl ExploreTarget {
     fn vm_config(&self) -> VmConfig {
         VmConfig { max_threads: self.threads + 2, ..VmConfig::default() }
     }
+
+    /// Boot the target's VM. A VM is mode-independent, so one boot serves
+    /// the GIL oracle and every explored path alike.
+    fn boot(&self) -> Vm {
+        Vm::boot(&self.source, self.vm_config(), &self.profile)
+            .unwrap_or_else(|e| panic!("{}: boot failed: {e}", self.id))
+    }
 }
 
 /// Expected observable behaviour, from the pristine GIL oracle run.
@@ -88,12 +99,16 @@ pub struct Expected {
 /// failure — a target whose oracle run fails is a harness bug, not a
 /// schedule-dependent finding.
 pub fn gil_expected(target: &ExploreTarget) -> Expected {
+    expected_on(target, target.boot()).0
+}
+
+/// The oracle run on a booted `vm`, handing the VM back.
+fn expected_on(target: &ExploreTarget, vm: Vm) -> (Expected, Vm) {
     let mut cfg = ExecConfig::new(RuntimeMode::Gil, &target.profile);
     cfg.max_cycles = target.max_cycles;
-    let mut ex = Executor::new(&target.source, target.vm_config(), target.profile.clone(), cfg)
-        .unwrap_or_else(|e| panic!("{}: oracle boot failed: {e}", target.id));
+    let mut ex = Executor::from_vm(vm, target.profile.clone(), cfg);
     let report = ex.run().unwrap_or_else(|e| panic!("{}: oracle GIL run failed: {e}", target.id));
-    Expected { stdout: report.stdout, heap: heap_digest(&ex.vm) }
+    (Expected { stdout: report.stdout, heap: heap_digest(&ex.vm) }, ex.vm)
 }
 
 /// Everything one explored execution produced.
@@ -118,9 +133,12 @@ pub struct PathRun {
 /// Replay `path` on the target and collect the outcome. Panics only on
 /// boot failure (workload/harness bug); run failures are captured.
 pub fn run_path(target: &ExploreTarget, path: &SchedPath) -> PathRun {
-    let cfg = target.config(path);
-    let mut ex = Executor::new(&target.source, target.vm_config(), target.profile.clone(), cfg)
-        .unwrap_or_else(|e| panic!("{}: boot failed: {e}", target.id));
+    path_on(target, target.boot(), path).0
+}
+
+/// [`run_path`] on a booted `vm`, handing the VM back.
+fn path_on(target: &ExploreTarget, vm: Vm, path: &SchedPath) -> (PathRun, Vm) {
+    let mut ex = Executor::from_vm(vm, target.profile.clone(), target.config(path));
     let (report, error) = match ex.run() {
         Ok(r) => (Some(r), None),
         Err(e) => (None, Some(e.to_string())),
@@ -128,7 +146,7 @@ pub fn run_path(target: &ExploreTarget, path: &SchedPath) -> PathRun {
     let stdout = report.as_ref().map_or_else(|| ex.vm.stdout_text(), |r| r.stdout.clone());
     let heap = heap_digest(&ex.vm);
     let ctl = ex.sched.explore().expect("explore controller installed by config");
-    PathRun {
+    let run = PathRun {
         report,
         error,
         stdout,
@@ -138,7 +156,8 @@ pub fn run_path(target: &ExploreTarget, path: &SchedPath) -> PathRun {
         arities: ctl.arities().to_vec(),
         kind_tags: ctl.kinds().iter().map(|k| k.tag()).collect(),
         preemptions: ctl.preemptions(),
-    }
+    };
+    (run, ex.vm)
 }
 
 /// The violation verdict for one explored execution: `None` when the
@@ -194,70 +213,137 @@ pub fn shrink(
     path: &SchedPath,
     max_runs: u64,
 ) -> ShrinkResult {
-    let mut runs = 0u64;
-    let mut current = path.trimmed();
-    let still_violates = |candidate: &SchedPath, runs: &mut u64| -> bool {
-        *runs += 1;
-        let (_, mismatch) = check_path(target, expected, candidate);
-        mismatch.is_some()
-    };
-    loop {
-        let before = current.clone();
-        // (a) Truncation: halve while the prefix still violates, then
-        // peel single bytes off the tail.
-        while runs < max_runs && !current.is_empty() {
-            let half = SchedPath::new(current.as_bytes()[..current.len() / 2].to_vec()).trimmed();
-            if half.len() < current.len() && still_violates(&half, &mut runs) {
-                current = half;
-            } else {
-                break;
-            }
-        }
-        while runs < max_runs && !current.is_empty() {
-            let shorter =
-                SchedPath::new(current.as_bytes()[..current.len() - 1].to_vec()).trimmed();
-            if still_violates(&shorter, &mut runs) {
-                current = shorter;
-            } else {
-                break;
-            }
-        }
-        // (b) Zero non-zero bytes right-to-left (fewer forced
-        // deviations = simpler counterexample).
-        for i in (0..current.len()).rev() {
-            if runs >= max_runs {
-                break;
-            }
-            if current.as_bytes()[i] == 0 {
-                continue;
-            }
-            let mut bytes = current.as_bytes().to_vec();
-            bytes[i] = 0;
-            let candidate = SchedPath::new(bytes).trimmed();
-            if still_violates(&candidate, &mut runs) {
-                current = candidate;
-            }
-        }
-        // (c) Lower remaining bytes to the smallest deviation.
-        for i in 0..current.len() {
-            if runs >= max_runs {
-                break;
-            }
-            if current.as_bytes()[i] <= 1 {
-                continue;
-            }
-            let mut bytes = current.as_bytes().to_vec();
-            bytes[i] = 1;
-            let candidate = SchedPath::new(bytes);
-            if still_violates(&candidate, &mut runs) {
-                current = candidate;
-            }
-        }
-        if current == before || runs >= max_runs {
-            break;
-        }
+    Replayer::new(target).shrink(expected, path, max_runs)
+}
+
+/// Boot once, replay many: serves [`gil_expected`], [`run_path`],
+/// [`check_path`] and [`shrink`] for one target from a single booted VM,
+/// rewinding it to its post-boot checkpoint after every run — failed
+/// runs included. Every result equals the free function's. A run that
+/// panics takes the VM with it, and the next run boots again.
+///
+/// A VM holds `Rc`s, so a replayer stays on the thread that made it;
+/// parallel searches give each worker its own.
+pub struct Replayer<'t> {
+    target: &'t ExploreTarget,
+    /// The booted VM and its checkpoint; `None` until the first run and
+    /// after a panicking one.
+    booted: Option<(Vm, VmCheckpoint)>,
+}
+
+impl<'t> Replayer<'t> {
+    /// A replayer for `target`; it boots on its first run.
+    pub fn new(target: &'t ExploreTarget) -> Self {
+        Replayer { target, booted: None }
     }
-    ShrinkResult { path: current.trimmed(), executions: runs }
+
+    /// The target it replays.
+    pub fn target(&self) -> &'t ExploreTarget {
+        self.target
+    }
+
+    /// Run `f` on the checkpointed VM and rewind the VM it hands back.
+    fn replay<R>(&mut self, f: impl FnOnce(&ExploreTarget, Vm) -> (R, Vm)) -> R {
+        let (vm, checkpoint) = self.booted.take().unwrap_or_else(|| {
+            let mut vm = self.target.boot();
+            let checkpoint = vm.checkpoint();
+            (vm, checkpoint)
+        });
+        let (out, mut vm) = f(self.target, vm);
+        vm.rewind(&checkpoint);
+        self.booted = Some((vm, checkpoint));
+        out
+    }
+
+    /// [`gil_expected`] on the checkpointed VM.
+    pub fn gil_expected(&mut self) -> Expected {
+        self.replay(expected_on)
+    }
+
+    /// [`run_path`] on the checkpointed VM.
+    pub fn run_path(&mut self, path: &SchedPath) -> PathRun {
+        self.replay(|target, vm| path_on(target, vm, path))
+    }
+
+    /// [`check_path`] on the checkpointed VM.
+    pub fn check_path(
+        &mut self,
+        expected: &Expected,
+        path: &SchedPath,
+    ) -> (PathRun, Option<String>) {
+        let run = self.run_path(path);
+        let mismatch = mismatch_of(expected, &run);
+        (run, mismatch)
+    }
+
+    /// [`shrink`] on the checkpointed VM.
+    pub fn shrink(&mut self, expected: &Expected, path: &SchedPath, max_runs: u64) -> ShrinkResult {
+        let mut runs = 0u64;
+        let mut current = path.trimmed();
+        let mut still_violates = |candidate: &SchedPath, runs: &mut u64| -> bool {
+            *runs += 1;
+            let (_, mismatch) = self.check_path(expected, candidate);
+            mismatch.is_some()
+        };
+        loop {
+            let before = current.clone();
+            // (a) Truncation: halve while the prefix still violates, then
+            // peel single bytes off the tail.
+            while runs < max_runs && !current.is_empty() {
+                let half =
+                    SchedPath::new(current.as_bytes()[..current.len() / 2].to_vec()).trimmed();
+                if half.len() < current.len() && still_violates(&half, &mut runs) {
+                    current = half;
+                } else {
+                    break;
+                }
+            }
+            while runs < max_runs && !current.is_empty() {
+                let shorter =
+                    SchedPath::new(current.as_bytes()[..current.len() - 1].to_vec()).trimmed();
+                if still_violates(&shorter, &mut runs) {
+                    current = shorter;
+                } else {
+                    break;
+                }
+            }
+            // (b) Zero non-zero bytes right-to-left (fewer forced
+            // deviations = simpler counterexample).
+            for i in (0..current.len()).rev() {
+                if runs >= max_runs {
+                    break;
+                }
+                if current.as_bytes()[i] == 0 {
+                    continue;
+                }
+                let mut bytes = current.as_bytes().to_vec();
+                bytes[i] = 0;
+                let candidate = SchedPath::new(bytes).trimmed();
+                if still_violates(&candidate, &mut runs) {
+                    current = candidate;
+                }
+            }
+            // (c) Lower remaining bytes to the smallest deviation.
+            for i in 0..current.len() {
+                if runs >= max_runs {
+                    break;
+                }
+                if current.as_bytes()[i] <= 1 {
+                    continue;
+                }
+                let mut bytes = current.as_bytes().to_vec();
+                bytes[i] = 1;
+                let candidate = SchedPath::new(bytes);
+                if still_violates(&candidate, &mut runs) {
+                    current = candidate;
+                }
+            }
+            if current == before || runs >= max_runs {
+                break;
+            }
+        }
+        ShrinkResult { path: current.trimmed(), executions: runs }
+    }
 }
 
 #[cfg(test)]

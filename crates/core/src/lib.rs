@@ -45,7 +45,7 @@ pub use config::{
 pub use exec::{Executor, RunError};
 pub use explore::{
     check_path, gil_expected, mismatch_of, run_path, shrink, Expected, ExploreTarget, PathRun,
-    ShrinkResult,
+    Replayer, ShrinkResult,
 };
 pub use json::Json;
 pub use latency::{LatencyRecorder, LatencyStats, QueueWindow, TaskLatencyReport};

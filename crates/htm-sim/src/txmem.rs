@@ -41,6 +41,12 @@
 //! observes committed data, mirroring how real HTM buffers speculative
 //! stores; the victim thread learns of the abort at its next access or at
 //! an explicit [`TxMemory::poll_doomed`].
+//!
+//! [`TxMemory::checkpoint`] and [`TxMemory::restore`] rewind a whole run:
+//! an idle memory arms a journal that saves each line's pre-image at its
+//! first store, and `restore` writes those back, so replaying many runs
+//! from one booted image costs the lines a run touched, not the image
+//! (`DESIGN.md` §14).
 
 use machine_sim::ThreadId;
 
@@ -155,6 +161,12 @@ pub const MEMO_WAYS: usize = 16;
 /// test-only [`FaultPlan::dirty_read`] bug breaks requester-wins on
 /// purpose, so under it a writer's memo hit skips dooming the readers
 /// that read its line dirty.)
+///
+/// The same invariant spares the memo-hit write path the checkpoint
+/// journal: a checkpoint is taken only with no live transaction, so every
+/// write entry was filled by a directory-path write of the current
+/// transaction, after the checkpoint — and that write saved the line's
+/// pre-image.
 #[derive(Debug, Clone, Copy)]
 struct LineMemo {
     line: usize,
@@ -203,6 +215,44 @@ pub struct TxMemory<W: Clone> {
     now: u64,
     /// The installed plan's [`FaultPlan::dirty_read`] test-only bug.
     dirty_read: bool,
+    /// The armed run checkpoint; `None` (the default) costs every plain
+    /// or directory-path store one discriminant test.
+    journal: Option<Box<Journal<W>>>,
+}
+
+/// A run checkpoint of an idle memory: the line pre-images saved since,
+/// and the non-image state to reset to (see [`TxMemory::checkpoint`]).
+#[derive(Debug)]
+struct Journal<W> {
+    /// Words at the checkpoint; growth past it is truncated on restore.
+    size: usize,
+    /// Per line of the checkpointed image: pre-image already saved.
+    saved: Vec<bool>,
+    /// Saved lines, in first-store order.
+    lines: Vec<usize>,
+    /// Their pre-images, back to back in `lines` order.
+    pre_images: Vec<W>,
+    stats: HtmStats,
+    predictors: Vec<OverflowPredictor>,
+    now: u64,
+    dirty_read: bool,
+}
+
+impl<W: Clone> Journal<W> {
+    /// Save `line`'s pre-image unless it already is saved or lies past
+    /// the checkpointed image. Out of line: the caller's armed test is
+    /// the only cost a store pays when no checkpoint is armed.
+    #[inline(never)]
+    fn save(&mut self, line: usize, line_shift: u32, words: &[W]) {
+        if line >= self.saved.len() || self.saved[line] {
+            return;
+        }
+        self.saved[line] = true;
+        self.lines.push(line);
+        let start = line << line_shift;
+        let end = (start + (1 << line_shift)).min(self.size);
+        self.pre_images.extend_from_slice(&words[start..end]);
+    }
 }
 
 impl<W: Clone> TxMemory<W> {
@@ -210,16 +260,32 @@ impl<W: Clone> TxMemory<W> {
     /// cache lines of `line_words` words, supporting up to `max_threads`
     /// hardware threads.
     pub fn new(size: usize, line_words: usize, max_threads: usize, init: W) -> Self {
+        Self::with_reserve(size, 0, line_words, max_threads, init)
+    }
+
+    /// [`Self::new`] with room for `reserve` more words, so a [`Self::grow`]
+    /// by up to that much keeps the image in place instead of copying it.
+    pub fn with_reserve(
+        size: usize,
+        reserve: usize,
+        line_words: usize,
+        max_threads: usize,
+        init: W,
+    ) -> Self {
         assert!(line_words.is_power_of_two(), "line size must be 2^k words");
         assert!(
             max_threads <= MAX_THREADS,
             "ownership directory tracks at most {MAX_THREADS} threads"
         );
+        let mut words = Vec::with_capacity(size + reserve);
+        words.resize(size, init);
+        let mut dir = Vec::with_capacity((size + reserve).div_ceil(line_words));
+        dir.resize(size.div_ceil(line_words), EMPTY_LINE);
         TxMemory {
-            words: vec![init; size],
+            words,
             line_words,
             line_shift: line_words.trailing_zeros(),
-            dir: vec![EMPTY_LINE; size.div_ceil(line_words)],
+            dir,
             txs: (0..max_threads).map(|_| TxSlot::new()).collect(),
             memos: vec![LineMemo::EMPTY; max_threads],
             undo_words: (0..max_threads).map(|_| Vec::new()).collect(),
@@ -232,6 +298,7 @@ impl<W: Clone> TxMemory<W> {
             injector: None,
             now: 0,
             dirty_read: false,
+            journal: None,
         }
     }
 
@@ -525,6 +592,7 @@ impl<W: Clone> TxMemory<W> {
         }
         if self.active_txs == 0 && self.pending_dooms == 0 {
             // Non-transactional fast path: nothing to doom, nothing doomed.
+            self.journal_store(line);
             self.words[addr] = value;
             return Ok(());
         }
@@ -576,6 +644,7 @@ impl<W: Clone> TxMemory<W> {
                     LineMemo { line, in_read: self.dir[line].readers & own != 0, in_write: true };
             }
         }
+        self.journal_store(line);
         self.words[addr] = value;
         Ok(())
     }
@@ -650,13 +719,96 @@ impl<W: Clone> TxMemory<W> {
         &self.words[addr]
     }
 
-    /// Write bypassing transaction machinery — initialization only.
+    /// Write bypassing transaction machinery — initialization only, so
+    /// never with a checkpoint armed (the journal would miss the store).
     pub fn poke(&mut self, addr: usize, value: W) {
         debug_assert!(self.active_txs == 0, "poke with active transactions");
+        debug_assert!(self.journal.is_none(), "poke with a checkpoint armed");
         self.words[addr] = value;
     }
 
+    /// Arm a run checkpoint: every later [`Self::restore`] rewinds the
+    /// memory to its state now — image, size, directory, transaction
+    /// slots, memos, dooms, predictors, statistics, simulated cycle, and
+    /// no fault injector or trace sink. Re-arming replaces the previous
+    /// checkpoint.
+    ///
+    /// # Panics
+    ///
+    /// Unless the memory is idle: no live transaction, no pending doom,
+    /// no trace sink and no fault injector.
+    pub fn checkpoint(&mut self) {
+        assert!(
+            self.active_txs == 0 && self.pending_dooms == 0,
+            "checkpoint with live or doomed transactions"
+        );
+        assert!(
+            self.trace.is_none() && self.injector.is_none(),
+            "checkpoint with a trace sink or fault injector installed"
+        );
+        self.journal = Some(Box::new(Journal {
+            size: self.words.len(),
+            saved: vec![false; self.dir.len()],
+            lines: Vec::new(),
+            pre_images: Vec::new(),
+            stats: self.stats.clone(),
+            predictors: self.predictors.clone(),
+            now: self.now,
+            dirty_read: self.dirty_read,
+        }));
+    }
+
+    /// Rewind to the armed checkpoint, whatever the run since left behind
+    /// (live or doomed transactions, a fault plan, a trace sink, growth),
+    /// and keep the checkpoint armed for the next run.
+    ///
+    /// # Panics
+    ///
+    /// Without an armed checkpoint.
+    pub fn restore(&mut self) {
+        let mut journal = self.journal.take().expect("restore without a checkpoint");
+        // Drop live transactions without rollback: their speculative
+        // stores are journaled like every other store since the
+        // checkpoint.
+        for t in 0..self.txs.len() {
+            if self.txs[t].active {
+                self.release_tx(t);
+            }
+        }
+        let j = &mut *journal;
+        let mut pre_images = j.pre_images.iter();
+        for &line in &j.lines {
+            let start = line << self.line_shift;
+            let end = (start + self.line_words).min(j.size);
+            for (word, pre) in self.words[start..end].iter_mut().zip(pre_images.by_ref()) {
+                word.clone_from(pre);
+            }
+            j.saved[line] = false;
+        }
+        j.lines.clear();
+        j.pre_images.clear();
+        self.words.truncate(j.size);
+        self.dir.truncate(j.saved.len());
+        self.doomed.fill(None);
+        self.pending_dooms = 0;
+        self.stats.clone_from(&j.stats);
+        self.predictors.clone_from(&j.predictors);
+        self.now = j.now;
+        self.injector = None;
+        self.dirty_read = j.dirty_read;
+        self.trace = None;
+        self.journal = Some(journal);
+    }
+
     // ---- internals ------------------------------------------------------
+
+    /// Journal `line` before a store to it when a checkpoint is armed.
+    #[inline(always)]
+    fn journal_store(&mut self, line: usize) {
+        if let Some(journal) = &mut self.journal {
+            journal.save(line, self.line_shift, &self.words);
+        }
+    }
 
     /// Undo-log the word at `addr` before `t`'s transactional store to it,
     /// unless the log's newest entry already is `addr`: rollback replays
@@ -764,6 +916,8 @@ impl<W: Clone> TxMemory<W> {
         let mut cursor = arena.len();
         for &entry in undo.iter().rev() {
             cursor -= 1;
+            // Undo-logged stores went through `write`, which journaled
+            // their lines: rollback never needs the journal.
             self.words[entry] = arena[cursor].clone();
         }
         debug_assert_eq!(cursor, 0, "undo log and arena out of sync");

@@ -1661,7 +1661,7 @@ impl Vm {
             .as_str()
             .cloned()
             .ok_or_else(|| VmAbort::fatal("corrupt Regexp"))?;
-        if let Some(r) = self.regex_cache.get(&*pat) {
+        if let Some(r) = self.regex_cache.get(&**pat) {
             return Ok(r.clone());
         }
         let r =
@@ -1682,7 +1682,7 @@ fn bi_regexp_new(
     crate::regexlite::Regex::compile(&pat).map_err(|e| VmAbort::fatal(e.to_string()))?;
     let slot = vm.alloc_slot(t)?;
     vm.set_header(t, slot, ObjKind::Regexp)?;
-    vm.wr(t, slot + 1, Word::Str(pat.into()))?;
+    vm.wr(t, slot + 1, Word::str(&pat))?;
     Ok(BResult::Value(Word::Obj(slot)))
 }
 

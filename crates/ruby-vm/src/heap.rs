@@ -24,6 +24,13 @@ use crate::layout::{ts, Layout, SLOT_WORDS};
 use crate::value::{Addr, ObjHeader, ObjKind, Word};
 use crate::vm::{Vm, VmAbort};
 
+/// Slots one heap growth adds to a heap of `current` slots: half again,
+/// at least 1024, capped at `max`. `Vm::boot` reserves this much memory
+/// up front, so the first growth extends the image in place.
+pub(crate) fn heap_growth_slots(current: usize, max: usize) -> usize {
+    (current / 2).max(1024).min(max.saturating_sub(current))
+}
+
 impl Vm {
     // ---- slot allocation -------------------------------------------------
 
@@ -465,7 +472,7 @@ impl Vm {
                 "heap limit reached ({current} slots; raise VmConfig::max_heap_slots)"
             )));
         }
-        let add = (current / 2).max(1024).min(self.config.max_heap_slots - current);
+        let add = heap_growth_slots(current, self.config.max_heap_slots);
         let base = self.mem.size();
         self.mem.grow(add * SLOT_WORDS, Word::Uninit);
         self.attribution.register_region(base, crate::layout::LineOwner::HeapSlots);
@@ -594,6 +601,18 @@ mod tests {
         let _ = vm.alloc_slot(1).unwrap();
         let tl = vm.mem.peek(vm.layout.thread_struct(1) + ts::TL_FREE_HEAD).clone();
         assert!(matches!(tl, Word::Int(h) if h != 0), "local list holds the rest");
+    }
+
+    #[test]
+    fn first_heap_growth_extends_the_image_in_place() {
+        let mut vm = vm();
+        let (size, image) = (vm.mem.size(), vm.mem.peek(0) as *const Word);
+        let slots = vm.total_slots();
+        vm.grow_heap(0).unwrap();
+        let add = heap_growth_slots(slots, vm.config.max_heap_slots);
+        assert_eq!(vm.total_slots(), slots + add);
+        assert_eq!(vm.mem.size(), size + add * SLOT_WORDS);
+        assert!(std::ptr::eq(vm.mem.peek(0), image), "the boot reserve was not enough");
     }
 
     #[test]

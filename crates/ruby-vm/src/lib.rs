@@ -26,8 +26,9 @@
 //!   words roll back via the undo log; the thread's registers are
 //!   snapshotted by the TLE runtime).
 //!
-//! One deliberate simplification: string *content* is kept in host `Rc<str>`
-//! for convenience, but every string carries a "shadow buffer" in simulated
+//! One deliberate simplification: string *content* is kept in a host
+//! `Rc<Box<str>>` (a thin pointer, so a memory word stays 16 bytes) for
+//! convenience, but every string carries a "shadow buffer" in simulated
 //! memory sized to its byte length, and string/regex operations touch that
 //! buffer — so string-heavy code (WEBrick parsing, Rails templating)
 //! generates the same footprint (and the same overflow aborts) it does in
@@ -57,4 +58,4 @@ pub use layout::{AttributionMap, LineOwner};
 pub use program::Program;
 pub use symbols::{SymId, SymbolTable};
 pub use value::{ObjKind, Word};
-pub use vm::{BlockOn, StepOk, ThreadCtx, Vm, VmAbort, VmConfig, VmError};
+pub use vm::{BlockOn, StepOk, ThreadCtx, Vm, VmAbort, VmCheckpoint, VmConfig, VmError};

@@ -87,7 +87,7 @@ impl Vm {
             self.wr(t, buf + i, Word::Int(0))?;
         }
         self.set_header(t, slot, ObjKind::String)?;
-        self.wr(t, slot + 1, Word::Str(s.into()))?;
+        self.wr(t, slot + 1, Word::str(s))?;
         self.wr(t, slot + 2, Word::Int(len as i64))?;
         self.wr(t, slot + 3, Word::Int(buf as i64))?;
         self.wr(t, slot + 4, Word::Int(cap as i64))?;
@@ -116,13 +116,17 @@ impl Vm {
         for i in 0..need {
             self.wr(t, buf + i, Word::Int(0))?;
         }
-        self.wr(t, slot + 1, Word::Str(s.into()))?;
+        self.wr(t, slot + 1, Word::str(s))?;
         self.wr(t, slot + 2, Word::Int(len as i64))?;
         Ok(())
     }
 
     /// Read a String's content (touching its shadow buffer for footprint).
-    pub fn string_content(&mut self, t: ThreadId, slot: Addr) -> Result<std::rc::Rc<str>, VmAbort> {
+    pub fn string_content(
+        &mut self,
+        t: ThreadId,
+        slot: Addr,
+    ) -> Result<std::rc::Rc<Box<str>>, VmAbort> {
         let w = self.rd(t, slot + 1)?;
         let len = self.rd(t, slot + 2)?.as_int().unwrap_or(0) as usize;
         let buf = self.rd(t, slot + 3)?.as_int().unwrap_or(0) as Addr;
@@ -840,7 +844,7 @@ mod tests {
         let slot = w.as_obj().unwrap();
         let long = "x".repeat(200);
         vm.string_replace(0, slot, &long).unwrap();
-        assert_eq!(&*vm.string_content(0, slot).unwrap(), long.as_str());
+        assert_eq!(&**vm.string_content(0, slot).unwrap(), long.as_str());
         let cap = vm.mem.peek(slot + 4).as_int().unwrap() as usize;
         assert!(cap >= 25, "shadow must cover 200 bytes, got {cap} words");
     }

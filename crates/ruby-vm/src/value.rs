@@ -68,11 +68,14 @@ pub enum Word {
     F64(f64),
     /// String content payload (inside a `String` object only). The bytes
     /// additionally have a shadow buffer in simulated memory for footprint
-    /// accounting (see crate docs).
-    Str(Rc<str>),
+    /// accounting (see crate docs). A thin `Rc` (a fat `Rc<str>` would
+    /// make every word of the image 24 bytes instead of 16).
+    Str(Rc<Box<str>>),
     /// Slot header.
     Hdr(ObjHeader),
 }
+
+const _: () = assert!(std::mem::size_of::<Word>() == 16);
 
 /// Hand-written so the clone on the memory read path inlines to a plain
 /// 16-byte copy for every immediate variant, with the `Rc` refcount bump
@@ -97,6 +100,11 @@ impl Clone for Word {
 }
 
 impl Word {
+    /// A string content payload holding a copy of `s`.
+    pub fn str(s: &str) -> Word {
+        Word::Str(Rc::new(s.into()))
+    }
+
     /// Ruby truthiness: everything except `nil` and `false`.
     pub fn truthy(&self) -> bool {
         !matches!(self, Word::Nil | Word::False)
@@ -131,7 +139,7 @@ impl Word {
         }
     }
 
-    pub fn as_str(&self) -> Option<&Rc<str>> {
+    pub fn as_str(&self) -> Option<&Rc<Box<str>>> {
         match self {
             Word::Str(s) => Some(s),
             _ => None,

@@ -255,6 +255,39 @@ pub struct CoreClasses {
     pub main_obj: Addr,
 }
 
+/// Every [`Vm`] field but the memory, saved by [`Vm::checkpoint`] (the
+/// memory keeps its own journal of the lines a run stores to).
+pub struct VmCheckpoint {
+    layout: Layout,
+    attribution: crate::layout::AttributionMap,
+    config: VmConfig,
+    program: Program,
+    threads: Vec<ThreadCtx>,
+    classes: CoreClasses,
+    stdout: Vec<String>,
+    gvar_map: HashMap<SymId, usize>,
+    const_map: HashMap<SymId, usize>,
+    pooled_objs: Vec<Word>,
+    slot_ranges: Vec<(Addr, usize)>,
+    regex_cache: HashMap<String, crate::regexlite::Regex>,
+    step_mem_refs: u32,
+    step_native_cost: u64,
+    pending_wakes: Vec<WakeKey>,
+    gc_runs: u64,
+    heap_grows: u64,
+    allocations: u64,
+    in_gc: bool,
+    rand_state: u64,
+    builtins: Vec<crate::builtins::BFn>,
+    promoted_envs: Vec<(Addr, usize)>,
+    gc_sweep_total: usize,
+    temp_roots: Vec<Word>,
+    conn: machine_sim::ConnModel,
+    pending_marks: Vec<(u8, i64)>,
+    method_version: u32,
+    pending_method_bumps: u32,
+}
+
 /// The virtual machine.
 pub struct Vm {
     pub mem: TxMemory<Word>,
@@ -382,7 +415,16 @@ impl Vm {
             config.padded_thread_structs,
             ic_copies,
         );
-        let mem = TxMemory::new(layout.total_words, line_words, config.max_threads, Word::Uninit);
+        // Room for the first heap growth, so it extends the image in place:
+        // copying a multi-MiB image can leave the old block resident.
+        let growth = crate::heap::heap_growth_slots(layout.initial_slots, config.max_heap_slots);
+        let mem = TxMemory::with_reserve(
+            layout.total_words,
+            growth * SLOT_WORDS,
+            line_words,
+            config.max_threads,
+            Word::Uninit,
+        );
         let attribution = crate::layout::AttributionMap::from_layout(&layout);
         let config_slots = config.heap_slots;
         let conn_seed = config.conn_seed;
@@ -548,6 +590,143 @@ impl Vm {
         }
         self.publish_method_bumps();
         result
+    }
+
+    /// Arm a run checkpoint of this VM — booted, or idle between runs:
+    /// [`Self::rewind`] then resets it to exactly this state, at the cost
+    /// of the memory lines the run stored to (see
+    /// [`TxMemory::checkpoint`]). The executor installs predictors, fault
+    /// plans and trace sinks after this point; rewinding removes them.
+    pub fn checkpoint(&mut self) -> VmCheckpoint {
+        // Exhaustive on purpose: a new field breaks the build until it is
+        // checkpointed too.
+        let Vm {
+            mem,
+            layout,
+            attribution,
+            config,
+            program,
+            threads,
+            classes,
+            stdout,
+            gvar_map,
+            const_map,
+            pooled_objs,
+            slot_ranges,
+            regex_cache,
+            step_mem_refs,
+            step_native_cost,
+            pending_wakes,
+            gc_runs,
+            heap_grows,
+            allocations,
+            in_gc,
+            rand_state,
+            builtins,
+            promoted_envs,
+            gc_sweep_total,
+            temp_roots,
+            conn,
+            pending_marks,
+            method_version,
+            pending_method_bumps,
+        } = self;
+        mem.checkpoint();
+        VmCheckpoint {
+            layout: layout.clone(),
+            attribution: attribution.clone(),
+            config: config.clone(),
+            program: program.clone(),
+            threads: threads.clone(),
+            classes: classes.clone(),
+            stdout: stdout.clone(),
+            gvar_map: gvar_map.clone(),
+            const_map: const_map.clone(),
+            pooled_objs: pooled_objs.clone(),
+            slot_ranges: slot_ranges.clone(),
+            regex_cache: regex_cache.clone(),
+            step_mem_refs: *step_mem_refs,
+            step_native_cost: *step_native_cost,
+            pending_wakes: pending_wakes.clone(),
+            gc_runs: *gc_runs,
+            heap_grows: *heap_grows,
+            allocations: *allocations,
+            in_gc: *in_gc,
+            rand_state: *rand_state,
+            builtins: builtins.clone(),
+            promoted_envs: promoted_envs.clone(),
+            gc_sweep_total: *gc_sweep_total,
+            temp_roots: temp_roots.clone(),
+            conn: *conn,
+            pending_marks: pending_marks.clone(),
+            method_version: *method_version,
+            pending_method_bumps: *pending_method_bumps,
+        }
+    }
+
+    /// Reset to `checkpoint`, taken from this VM by [`Self::checkpoint`],
+    /// whatever the run since did (including a run that failed midway).
+    pub fn rewind(&mut self, checkpoint: &VmCheckpoint) {
+        let Vm {
+            mem,
+            layout,
+            attribution,
+            config,
+            program,
+            threads,
+            classes,
+            stdout,
+            gvar_map,
+            const_map,
+            pooled_objs,
+            slot_ranges,
+            regex_cache,
+            step_mem_refs,
+            step_native_cost,
+            pending_wakes,
+            gc_runs,
+            heap_grows,
+            allocations,
+            in_gc,
+            rand_state,
+            builtins,
+            promoted_envs,
+            gc_sweep_total,
+            temp_roots,
+            conn,
+            pending_marks,
+            method_version,
+            pending_method_bumps,
+        } = self;
+        mem.restore();
+        layout.clone_from(&checkpoint.layout);
+        attribution.clone_from(&checkpoint.attribution);
+        config.clone_from(&checkpoint.config);
+        program.clone_from(&checkpoint.program);
+        threads.clone_from(&checkpoint.threads);
+        classes.clone_from(&checkpoint.classes);
+        stdout.clone_from(&checkpoint.stdout);
+        gvar_map.clone_from(&checkpoint.gvar_map);
+        const_map.clone_from(&checkpoint.const_map);
+        pooled_objs.clone_from(&checkpoint.pooled_objs);
+        slot_ranges.clone_from(&checkpoint.slot_ranges);
+        regex_cache.clone_from(&checkpoint.regex_cache);
+        *step_mem_refs = checkpoint.step_mem_refs;
+        *step_native_cost = checkpoint.step_native_cost;
+        pending_wakes.clone_from(&checkpoint.pending_wakes);
+        *gc_runs = checkpoint.gc_runs;
+        *heap_grows = checkpoint.heap_grows;
+        *allocations = checkpoint.allocations;
+        *in_gc = checkpoint.in_gc;
+        *rand_state = checkpoint.rand_state;
+        builtins.clone_from(&checkpoint.builtins);
+        promoted_envs.clone_from(&checkpoint.promoted_envs);
+        *gc_sweep_total = checkpoint.gc_sweep_total;
+        temp_roots.clone_from(&checkpoint.temp_roots);
+        *conn = checkpoint.conn;
+        pending_marks.clone_from(&checkpoint.pending_marks);
+        *method_version = checkpoint.method_version;
+        *pending_method_bumps = checkpoint.pending_method_bumps;
     }
 
     /// Take a register snapshot (transaction begin).

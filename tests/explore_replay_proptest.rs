@@ -5,9 +5,11 @@
 //! byte-identical (report JSON and heap digest), the empty path must be
 //! indistinguishable from running with no controller at all, and two
 //! paths sharing a prefix must agree on every decision taken before the
-//! first differing byte.
+//! first differing byte. And a `Replayer`, which boots once and rewinds
+//! a checkpoint between runs, must replay every path exactly as a fresh
+//! boot does.
 
-use htm_gil::core::explore::{run_path, ExploreTarget};
+use htm_gil::core::explore::{run_path, ExploreTarget, PathRun, Replayer};
 use htm_gil::core::{ExecConfig, LengthPolicy, RuntimeMode};
 use htm_gil::{Executor, MachineProfile, SchedPath, VmConfig};
 use proptest::collection::vec;
@@ -47,6 +49,23 @@ puts($sum)
         max_cycles: 500_000_000,
         force_word_access: false,
     }
+}
+
+/// Everything observable about one run, as one comparable string.
+fn observed(run: &PathRun) -> String {
+    let report = run.report.as_ref().map(|r| r.to_json().to_compact());
+    format!(
+        "report={report:?}\nerror={:?}\nstdout={:?}\nheap={}\ndecisions={} taken={:?} \
+         arities={:?} kinds={} preemptions={}",
+        run.error,
+        run.stdout,
+        run.heap,
+        run.decisions,
+        run.taken,
+        run.arities,
+        run.kind_tags,
+        run.preemptions
+    )
 }
 
 fn mode_of(pick: u8) -> RuntimeMode {
@@ -139,5 +158,51 @@ proptest! {
             edit
         );
         prop_assert_eq!(&ra.arities[..upto], &rb.arities[..upto]);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A replayer serves a stream of paths on the clean, injected-bug and
+    /// lazy-subscription targets exactly as one-shot boots do. Each
+    /// stream splices in a fixed path (on the bug targets, the pinned
+    /// counterexample of `schedule_regressions.rs`), and a cycle cap
+    /// of 90–130 % of the natural run's length fails some runs midway,
+    /// so rewinds after violations and after broken runs are covered.
+    #[test]
+    fn replayer_equals_one_shot_boots(
+        pick in 0u8..3,
+        paths in vec(vec(0u8..4, 0..24), 1..6),
+        splice in 0usize..6,
+        cap_pct in 0u64..130,
+    ) {
+        let (mut t, pinned) = match pick {
+            0 => (bench::explore::clean_targets(true).swap_remove(0), "0100000001"),
+            1 => (bench::explore::bug_demo_target(true), "0001000000000001"),
+            _ => (
+                bench::explore::lazy_sub_demo_target(true),
+                "00000000000000000000000000000000000001",
+            ),
+        };
+        if cap_pct >= 90 {
+            let natural = run_path(&t, &SchedPath::empty()).report.expect("natural run");
+            t.max_cycles = natural.elapsed_cycles * cap_pct / 100;
+        }
+        let mut stream: Vec<SchedPath> = paths.into_iter().map(SchedPath::new).collect();
+        stream.insert(splice.min(stream.len()), SchedPath::from_hex(pinned).unwrap());
+        let mut replayer = Replayer::new(&t);
+        for (i, path) in stream.iter().enumerate() {
+            let fresh = run_path(&t, path);
+            prop_assert_eq!(
+                observed(&replayer.run_path(path)),
+                observed(&fresh),
+                "run {} of {} ({}), path {}",
+                i,
+                stream.len(),
+                t.id,
+                path.to_hex()
+            );
+        }
     }
 }
